@@ -33,6 +33,7 @@ from .predictable import (
 )
 from .processes import (
     C0_WITNESSES,
+    DEFAULT_T_SCHEDULE,
     build_model,
     catalog_names,
     feller_check,
@@ -65,7 +66,6 @@ class RunConfig:
     seed: int = 42
     out: Optional[str] = None
     format: str = "json"
-    workers: int = 1
     target: float = 1.0
     m: int = 8
     scheme: str = GEOMETRIC
@@ -117,7 +117,7 @@ def parse_args(argv) -> RunConfig:
     def add_sampling(p):
         p.add_argument("--n", type=int, default=100_000, help="number of replications")
         p.add_argument("--seed", type=int, default=None, help="base seed (default 42)")
-        p.add_argument("--workers", type=int, default=1, help="worker thread cap")
+        p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
 
     p = sub.add_parser("list-models", help="print the model catalog")
     add_io(p)
@@ -184,7 +184,6 @@ def parse_args(argv) -> RunConfig:
         config.seed = seed
         if args.workers < 1:
             parser.error(f"--workers must be a positive integer, got {args.workers}")
-        config.workers = args.workers
 
     if hasattr(args, "alpha"):
         if not (0.0 < args.alpha < 1.0):
@@ -237,7 +236,7 @@ def _run_list_models(config: RunConfig) -> int:
 
 def _run_exp_law(config: RunConfig) -> int:
     model = build_model(config.model, config.params)
-    report = exp_law_verify(model, config.n, config.alpha, config.seed, config.workers)
+    report = exp_law_verify(model, config.n, config.alpha, config.seed)
     with _open_out(config.out) as fh:
         if config.format == "csv":
             _write_csv(fh, report.csv_rows())
@@ -254,7 +253,7 @@ def _run_exp_law(config: RunConfig) -> int:
 def _run_martingale(config: RunConfig) -> int:
     model = build_model(config.model, config.params)
     grid = config.grid if config.grid is not None else default_time_grid()
-    report = martingale_residual(model, config.n, grid, config.seed, config.workers)
+    report = martingale_residual(model, config.n, grid, config.seed)
     passed = report.max_abs_z < MARTINGALE_Z_LIMIT
     with _open_out(config.out) as fh:
         if config.format == "csv":
@@ -278,8 +277,7 @@ def _run_feller(config: RunConfig) -> int:
             rows: list[tuple] = [("function", "t", "e")]
             for r in reports:
                 rows.extend(
-                    (r.function_name, t, e)
-                    for t, e in zip((2.0**-k for k in range(len(r.e_sequence))), r.e_sequence)
+                    (r.function_name, t, e) for t, e in zip(DEFAULT_T_SCHEDULE, r.e_sequence)
                 )
             _write_csv(fh, rows)
             print(f"{model.name}: feller passed={passed}", file=sys.stderr)

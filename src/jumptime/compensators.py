@@ -55,9 +55,9 @@ class Compensator(abc.ABC):
             return self.range_sup
         return self._evaluate_finite(tp.value)
 
+    @abc.abstractmethod
     def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized A over an array of finite times."""
-        return np.array([self._evaluate_finite(float(t)) for t in np.asarray(ts, float)])
 
     @abc.abstractmethod
     def _evaluate_finite(self, t: float) -> float: ...
@@ -66,13 +66,9 @@ class Compensator(abc.ABC):
     def inverse(self, s: float) -> TimePoint:
         """Generalized inverse inf{t >= 0 : A(t) >= s}; INFINITY if never reached."""
 
+    @abc.abstractmethod
     def inverse_many(self, ss: np.ndarray) -> np.ndarray:
         """Vectorized generalized inverse (times as floats, inf when never)."""
-        out = np.empty(len(ss))
-        for i, s in enumerate(np.asarray(ss, float)):
-            t = self.inverse(float(s))
-            out[i] = t.value if t.is_finite else math.inf
-        return out
 
     def stop(self, tau: TimeLike) -> "StoppedCompensator":
         return StoppedCompensator(self, as_timepoint(tau))
@@ -91,6 +87,14 @@ def _check_level(s: float) -> float:
     if math.isnan(s) or s < 0.0:
         raise ValueError(f"level must be a nonnegative real, got {s}")
     return s
+
+
+def _check_levels(ss) -> np.ndarray:
+    """Array twin of _check_level: reject any negative or NaN level."""
+    ss = np.asarray(ss, float)
+    if np.any(np.isnan(ss)) or np.any(ss < 0.0):
+        raise ValueError("levels must be nonnegative reals")
+    return ss
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ class LinearCompensator(Compensator):
         return TimePoint(_check_level(s) / self.rate)
 
     def inverse_many(self, ss):
-        return np.asarray(ss, float) / self.rate
+        return _check_levels(ss) / self.rate
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ class PowerCompensator(Compensator):
         return TimePoint(_check_level(s) ** (1.0 / self.exponent))
 
     def inverse_many(self, ss):
-        return np.asarray(ss, float) ** (1.0 / self.exponent)
+        return _check_levels(ss) ** (1.0 / self.exponent)
 
 
 @dataclass(frozen=True)
@@ -172,6 +176,12 @@ class SaturatingExpCompensator(Compensator):
             # The supremum is approached but never attained.
             return INFINITY
         return TimePoint(-math.log1p(-s / self.limit) / self.rate)
+
+    def inverse_many(self, ss):
+        ss = _check_levels(ss)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            finite = -np.log1p(-ss / self.limit) / self.rate
+        return np.where(ss >= self.limit, math.inf, finite)
 
 
 @dataclass(frozen=True)
@@ -263,9 +273,7 @@ class TabulatedCompensator(Compensator):
         return TimePoint(t0 + (s - v0) * (t1 - t0) / (v1 - v0))
 
     def inverse_many(self, ss):
-        ss = np.asarray(ss, float)
-        if np.any(np.isnan(ss)) or np.any(ss < 0.0):
-            raise ValueError("levels must be nonnegative reals")
+        ss = _check_levels(ss)
         times = np.asarray(self.times)
         values = np.asarray(self.values)
         j = np.minimum(np.searchsorted(values, ss, side="left"), len(values) - 1)
@@ -319,6 +327,10 @@ class StoppedCompensator(Compensator):
             return INFINITY
         # Continuity of the base makes the level attained at or before tau.
         return self.base.inverse(s)
+
+    def inverse_many(self, ss):
+        ss = _check_levels(ss)
+        return np.where(ss > self.range_sup, math.inf, self.base.inverse_many(ss))
 
 
 def time_change_check(A: Compensator, tau: TimeLike, s: float, tol: float = VALUE_TOLERANCE) -> bool:

@@ -1,9 +1,11 @@
 """Jump-time models and the one-jump indicator process.
 
-A JumpModel bundles a sampler for the jump time tau with the compensator of
-the indicator 1_{t >= tau} and, when available, the closed-form law of tau.
-The catalog covers homogeneous and inhomogeneous arrival times, a Markov
-holding time, and a synthetic model whose compensator has a flat piece.
+A JumpModel is its compensator: tau is drawn as the Cox time A^{-1}(Z) of an
+Exp(1) level Z, and its law is P(tau <= t) = 1 - exp(-A(t)).  Only the
+negative control draws tau through a different sampler compensator than the
+one it claims.  The catalog covers homogeneous and inhomogeneous arrival
+times, a Markov holding time, and a synthetic model whose compensator has a
+flat piece.
 
 The indicator process X_t = 1_{t >= tau} (started at x, jumping to x + 1) is
 Feller; its semigroup has the closed form
@@ -17,7 +19,7 @@ the three semigroup axioms on a finite witness set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,35 +61,39 @@ __all__ = [
 class JumpModel:
     """A jump time tau together with the compensator of 1_{t >= tau}.
 
-    ``tau_from_z`` maps an Exp(1) draw to tau; the sampler composes it with
-    a fresh exponential draw.  ``tau_from_z_many`` is the same map over an
-    array of draws (times as floats, math.inf for an infinite tau).
+    tau is the Cox time ``S.inverse(z)`` of an Exp(1) draw z, and its law is
+    ``P(tau <= t) = 1 - exp(-S(t))``, where S is ``sampler`` when set and the
+    compensator otherwise.  A correct model leaves ``sampler`` unset; only
+    the negative control draws tau through a compensator other than the one
+    it claims.
     """
 
     name: str
     compensator: Compensator
-    tau_from_z: Callable[[float], TimePoint]
-    tau_cdf: Optional[Callable[[float], float]] = None
     metadata: str = ""
-    tau_from_z_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    sampler: Optional[Compensator] = None
+
+    @property
+    def _drawn_through(self) -> Compensator:
+        return self.compensator if self.sampler is None else self.sampler
+
+    def tau_from_z(self, z: float) -> TimePoint:
+        """Map one Exp(1) draw to tau (INFINITY when the level is never reached)."""
+        return self._drawn_through.inverse(z)
+
+    def taus_from_draws(self, zs: np.ndarray) -> np.ndarray:
+        """Map an array of Exp(1) draws to jump times (inf when never)."""
+        return self._drawn_through.inverse_many(zs)
+
+    def tau_cdf(self, t: float) -> float:
+        """P(tau <= t) = 1 - exp(-S(t)) at a finite time t."""
+        return -math.expm1(-self._drawn_through.evaluate(t))
 
     def sample_tau(self, stream: RngStream) -> TimePoint:
         """One draw of tau; never 0 because the exponential draw is positive."""
         return self.tau_from_z(draw_exponential(stream))
 
-    def taus_from_draws(self, zs: np.ndarray) -> np.ndarray:
-        """Map an array of Exp(1) draws to jump times (inf when never)."""
-        if self.tau_from_z_many is not None:
-            return self.tau_from_z_many(np.asarray(zs, float))
-        out = np.empty(len(zs))
-        for i, z in enumerate(np.asarray(zs, float)):
-            t = self.tau_from_z(float(z))
-            out[i] = t.value if t.is_finite else math.inf
-        return out
-
     def law(self) -> "IndicatorProcessLaw":
-        if self.tau_cdf is None:
-            raise ValueError(f"model {self.name!r} has no closed-form law of tau")
         return IndicatorProcessLaw(self.tau_cdf, description=f"jump-time law of {self.name}")
 
 
@@ -123,18 +129,19 @@ class IndicatorProcessLaw:
 # model catalog
 
 
+def _check_rate(value, what: str) -> float:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+    return float(value)
+
+
 def poisson_model(rate: float) -> JumpModel:
     """First arrival at constant rate: tau = Z / rate, A(t) = rate * t."""
-    if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate > 0.0):
-        raise ValueError(f"rate must be positive and finite, got {rate}")
-    rate = float(rate)
+    rate = _check_rate(rate, "rate")
     return JumpModel(
         name=f"poisson(rate={rate:g})",
         compensator=LinearCompensator(rate),
-        tau_from_z=lambda z: TimePoint(z / rate),
-        tau_cdf=lambda t: -math.expm1(-rate * t),
         metadata="first arrival of a homogeneous counting process; totally inaccessible",
-        tau_from_z_many=lambda zs: zs / rate,
     )
 
 
@@ -154,28 +161,20 @@ def inhomogeneous_model(cumulative_intensity: Compensator, name: str | None = No
     return JumpModel(
         name=name or f"inhomogeneous({type(A).__name__})",
         compensator=A,
-        tau_from_z=lambda z: A.inverse(z),
-        tau_cdf=lambda t: -math.expm1(-A.evaluate(t)),
         metadata="first arrival with deterministic cumulative intensity, sampled by inversion",
-        tau_from_z_many=lambda zs: A.inverse_many(zs),
     )
 
 
 def ctmc_first_jump_model(exit_rate: float, label: str = "initial") -> JumpModel:
     """Holding time of a Markov-chain state: Exp(exit_rate), A(t) = exit_rate * t."""
-    if not (isinstance(exit_rate, (int, float)) and math.isfinite(exit_rate) and exit_rate > 0.0):
-        raise ValueError(f"exit_rate must be positive and finite, got {exit_rate}")
-    exit_rate = float(exit_rate)
+    exit_rate = _check_rate(exit_rate, "exit_rate")
     return JumpModel(
         name=f"ctmc(exit_rate={exit_rate:g})",
         compensator=LinearCompensator(exit_rate),
-        tau_from_z=lambda z: TimePoint(z / exit_rate),
-        tau_cdf=lambda t: -math.expm1(-exit_rate * t),
         metadata=(
             f"first jump out of state {label!r} of a continuous-time Markov chain; "
             "the holding time is exponential with the exit rate"
         ),
-        tau_from_z_many=lambda zs: zs / exit_rate,
     )
 
 
@@ -194,10 +193,7 @@ def flat_compensator_model() -> JumpModel:
     return JumpModel(
         name="flat",
         compensator=A,
-        tau_from_z=lambda z: A.inverse(z),
-        tau_cdf=lambda t: -math.expm1(-A.evaluate(t)),
         metadata="tabulated compensator with a flat piece on [1, 2]; exercises infimum semantics",
-        tau_from_z_many=lambda zs: A.inverse_many(zs),
     )
 
 
@@ -210,10 +206,8 @@ def negative_control_model() -> JumpModel:
     return JumpModel(
         name="negative-control",
         compensator=LinearCompensator(1.0),
-        tau_from_z=lambda z: TimePoint(z / 2.0),
-        tau_cdf=lambda t: -math.expm1(-2.0 * t),
         metadata="mismatched on purpose: the stated compensator is not the compensator of tau",
-        tau_from_z_many=lambda zs: zs / 2.0,
+        sampler=LinearCompensator(2.0),
     )
 
 

@@ -9,15 +9,15 @@ screens for atoms, and separately checks the zero-mean martingale residual
 1_{t >= tau} - A(t ^ tau).
 
 Replication k always uses the random stream with stream_id = k, and results
-are assembled in stream order, so reports are bitwise reproducible and
-independent of how many workers run the replications.
+are assembled in stream order, so reports are bitwise reproducible.  Sampling
+runs in one thread: the CLI still accepts ``--workers`` but it has no effect,
+because a thread pool only made the per-stream draws slower.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,32 +48,17 @@ def exp1_cdf(x):
     return -np.expm1(-np.asarray(x, float))
 
 
-#: Replications per work unit; fixed so worker count cannot affect placement.
-_CHUNK = 4096
-
 #: Draws are pure functions of (seed, n); cache them across models.
 _Z_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-def _exponential_draws(seed: int, n: int, workers: int = 1) -> np.ndarray:
+def _exponential_draws(seed: int, n: int) -> np.ndarray:
     """n Exp(1) draws, replication k from stream_id k; read-only and cached."""
     key = (int(seed), int(n))
     hit = _Z_CACHE.get(key)
     if hit is not None:
         return hit
-    out = np.empty(n)
-
-    def fill(lo: int, hi: int) -> None:
-        for k in range(lo, hi):
-            out[k] = draw_exponential(RngStream(seed, k))
-
-    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    if workers <= 1 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            fill(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
+    out = np.array([draw_exponential(RngStream(seed, k)) for k in range(n)])
     out.flags.writeable = False
     if len(_Z_CACHE) >= 8:
         _Z_CACHE.clear()
@@ -91,11 +76,11 @@ def _finite_taus(model: JumpModel, zs: np.ndarray) -> np.ndarray:
     return taus
 
 
-def sample_a_tau(model: JumpModel, n: int, seed: int, workers: int = 1) -> np.ndarray:
+def sample_a_tau(model: JumpModel, n: int, seed: int) -> np.ndarray:
     """n independent draws of A(tau), one per stream_id, in stream order."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    zs = _exponential_draws(seed, n, workers)
+    zs = _exponential_draws(seed, n)
     taus = _finite_taus(model, zs)
     return model.compensator.evaluate_many(taus)
 
@@ -196,17 +181,11 @@ class ExpLawReport:
         return rows
 
 
-def exp_law_verify(
-    model: JumpModel, n: int, alpha: float, seed: int, workers: int = 1
-) -> ExpLawReport:
+def exp_law_verify(model: JumpModel, n: int, alpha: float, seed: int) -> ExpLawReport:
     """Sample A(tau) and test it against the unit exponential law."""
     bound = dkw_bound(n, alpha)
-    a = sample_a_tau(model, n, seed, workers)
-    a_sorted = np.sort(a)
-
-    i = np.arange(1, n + 1)
-    F = exp1_cdf(a_sorted)
-    ks = float(np.maximum(np.abs(i / n - F), np.abs((i - 1) / n - F)).max())
+    a_sorted = np.sort(sample_a_tau(model, n, seed))
+    ks = ks_statistic(a_sorted, exp1_cdf)
 
     levels = (np.arange(1, 51) - 0.5) / 50.0
     ts = -np.log1p(-levels)
@@ -274,7 +253,6 @@ def martingale_residual(
     n: int,
     time_grid,
     seed: int,
-    workers: int = 1,
 ) -> MartingaleReport:
     """Mean and standard error of the residual at each grid time.
 
@@ -287,7 +265,7 @@ def martingale_residual(
     grid = tuple(float(t) for t in time_grid)
     if any(not math.isfinite(t) or t < 0.0 for t in grid):
         raise ValueError("grid times must be finite and nonnegative")
-    zs = _exponential_draws(seed, n, workers)
+    zs = _exponential_draws(seed, n)
     taus = _finite_taus(model, zs)
 
     rows = []

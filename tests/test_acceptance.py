@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from jumptime.cli import main
 from jumptime.core import RngStream
 from jumptime.cox import cox_round_trip, cox_sample
 from jumptime.predictable import (
@@ -247,7 +248,7 @@ def test_criterion_10_y_process():
     assert repeat_ok
 
 
-def test_criterion_11_determinism():
+def test_criterion_11_determinism(tmp_path):
     model = poisson_model(1.0)
     _Z_CACHE.clear()
     first = exp_law_verify(model, 10_000, ALPHA, seed=123)
@@ -255,11 +256,13 @@ def test_criterion_11_determinism():
     second = exp_law_verify(model, 10_000, ALPHA, seed=123)
     rerun_ok = first == second and first.to_json() == second.to_json()
 
+    argv = ["verify-exp-law", "--model", "poisson", "--n", "10000", "--seed", "123"]
+    serial, parallel = tmp_path / "w1.json", tmp_path / "w4.json"
     _Z_CACHE.clear()
-    serial = exp_law_verify(model, 10_000, ALPHA, seed=123, workers=1)
+    assert main(argv + ["--workers", "1", "--out", str(serial)]) == 0
     _Z_CACHE.clear()
-    parallel = exp_law_verify(model, 10_000, ALPHA, seed=123, workers=4)
-    workers_ok = serial == parallel and serial.to_json() == parallel.to_json()
+    assert main(argv + ["--workers", "4", "--out", str(parallel)]) == 0
+    workers_ok = serial.read_bytes() == parallel.read_bytes()
 
     ok = rerun_ok and workers_ok
     _report(

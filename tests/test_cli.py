@@ -26,7 +26,6 @@ class TestParseArgs:
         assert config.alpha == 0.01
         assert config.seed == 42
         assert config.format == "json"
-        assert config.workers == 1
         assert config.out is None
 
     def test_predictable_demo_routing(self):

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jumptime.compensators import (
+    Compensator,
     LinearCompensator,
     PowerCompensator,
     SaturatingExpCompensator,
@@ -25,6 +26,61 @@ def flat_table() -> TabulatedCompensator:
         values=(0.0, 1.0, 1.0, 2.0),
         extrapolation_slope=1.0,
     )
+
+
+@st.composite
+def tabulated_compensators(draw):
+    """Random knot tables; zero increments give flat pieces (repeated values)."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    steps = draw(
+        st.lists(st.just(0.0) | st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1)
+    )
+    slope = draw(st.none() | st.just(0.0) | st.floats(1e-3, 10.0))
+    times, values = [0.0], [0.0]
+    for gap, step in zip(gaps, steps):
+        times.append(times[-1] + gap)
+        values.append(values[-1] + step)
+    return TabulatedCompensator(tuple(times), tuple(values), slope)
+
+
+closed_forms = st.one_of(
+    st.floats(0.1, 10.0).map(LinearCompensator),
+    st.floats(0.1, 10.0).map(PowerCompensator),
+    st.builds(SaturatingExpCompensator, st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+)
+
+stopped_compensators = st.builds(
+    lambda A, tau: A.stop(tau),
+    closed_forms | tabulated_compensators(),
+    st.floats(0.1, 20.0) | st.just(INFINITY),
+)
+
+#: Probe times and levels away from subnormals, where one ulp is a large
+#: relative error.
+probes = st.lists(st.just(0.0) | st.floats(1e-6, 100.0), min_size=1, max_size=20)
+
+
+def on_and_between(points):
+    """Each point, each midpoint of neighbours, and two points past the last."""
+    mids = [(a + b) / 2.0 for a, b in zip(points, points[1:])]
+    return sorted(set(points) | set(mids) | {points[-1] + 0.5, points[-1] * 2.0 + 1.0})
+
+
+def scalar_paths(A, ts, ss):
+    """evaluate and inverse one point at a time, as floats with inf for never."""
+    evaluated = np.array([A(float(t)) for t in ts])
+    inverted = [A.inverse(float(s)) for s in ss]
+    return evaluated, np.array([t.value if t.is_finite else math.inf for t in inverted])
+
+
+EVERY_CLASS = (
+    LinearCompensator(1.0),
+    PowerCompensator(0.5),
+    SaturatingExpCompensator(limit=1.0, rate=1.0),
+    flat_table(),
+    LinearCompensator(1.0).stop(2.0),
+)
 
 
 class TestLinear:
@@ -121,17 +177,16 @@ class TestTabulated:
         assert A(5.0) == 1.0
         assert A.evaluate(INFINITY) == 1.0
 
-    def test_vector_paths_match_scalar_paths(self):
-        A = flat_table()
-        ts = np.linspace(0.0, 6.0, 301)
-        np.testing.assert_array_equal(
-            A.evaluate_many(ts), np.array([A(float(t)) for t in ts])
-        )
-        ss = np.linspace(0.0, 3.0, 301)
-        expected = np.array(
-            [A.inverse(float(s)).value if A.inverse(float(s)).is_finite else math.inf for s in ss]
-        )
-        np.testing.assert_array_equal(A.inverse_many(ss), expected)
+    @given(tabulated_compensators(), probes, probes)
+    @example(flat_table(), list(np.linspace(0.0, 6.0, 301)), list(np.linspace(0.0, 3.0, 301)))
+    def test_vector_paths_match_scalar_paths(self, A, ts, ss):
+        # Probes sit on knots, inside flat pieces and beyond the last knot;
+        # both paths do the same float operations, so they agree exactly.
+        ts = on_and_between(A.times) + ts
+        ss = on_and_between(A.values) + ss
+        evaluated, inverted = scalar_paths(A, ts, ss)
+        np.testing.assert_array_equal(A.evaluate_many(np.array(ts)), evaluated)
+        np.testing.assert_array_equal(A.inverse_many(np.array(ss)), inverted)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -173,6 +228,28 @@ class TestStopped:
         np.testing.assert_array_equal(
             A.evaluate_many(np.array([1.0, 2.0, 3.0])), np.array([1.0, 4.0, 4.0])
         )
+
+
+class TestVectorPaths:
+    def test_every_class_is_probed(self):
+        assert {type(A) for A in EVERY_CLASS} == set(Compensator.__subclasses__())
+
+    @pytest.mark.parametrize("A", EVERY_CLASS, ids=lambda A: type(A).__name__)
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_array_inverse_rejects_what_the_scalar_rejects(self, A, bad):
+        with pytest.raises(ValueError):
+            A.inverse(bad)
+        with pytest.raises(ValueError):
+            A.inverse_many(np.array([0.5, bad]))
+
+    @given(closed_forms | stopped_compensators, probes, probes)
+    def test_closed_forms_match_scalar_paths(self, A, ts, ss):
+        # numpy's SIMD pow/expm1/log1p may differ from libm in the last bit.
+        if math.isfinite(A.range_sup):
+            ss = ss + [A.range_sup, 2.0 * A.range_sup]
+        evaluated, inverted = scalar_paths(A, ts, ss)
+        np.testing.assert_allclose(A.evaluate_many(np.array(ts)), evaluated, rtol=1e-12)
+        np.testing.assert_allclose(A.inverse_many(np.array(ss)), inverted, rtol=1e-12)
 
 
 class TestGeneralizedInverseIdentities:
