@@ -5,6 +5,14 @@ emit machine-readable reports: JSON documents (or one JSON object per line
 for sample streams) and CSV tables for plotting.  Diagnostics go to stderr
 only; stdout or the --out file carries nothing but data.
 
+``parse_args`` validates the command line and returns argparse's namespace,
+with the parsed ``params``, ``grid`` and resolved ``seed`` written back.  Each
+subcommand but ``cox-demo`` is a builder that returns a ``_Report`` (JSON
+document, CSV rows, verdict, optional stderr summary), and ``_write`` alone
+chooses the format and maps the verdict to the exit status.  The verdicts are
+the reports' own (``ExpLawReport.passed``, ``MartingaleReport.passed``, the
+Feller reports' ``passed``).  ``cox-demo`` streams its rows, one per sample.
+
 Exit status contract: 0 all checks passed, 1 a verification honestly failed,
 2 usage error, 3 runtime error (including an infinite jump-time draw and
 unwritable output paths).
@@ -18,8 +26,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import RngStream
 from .cox import cox_sample
@@ -39,37 +46,19 @@ from .processes import (
     feller_check,
 )
 from .verify import (
+    MARTINGALE_Z_LIMIT,
     InfiniteSampleError,
     default_time_grid,
     exp_law_verify,
     martingale_residual,
 )
 
-__all__ = ["RunConfig", "entry_point", "main", "parse_args", "run"]
+__all__ = ["KNOT_TOLERANCE", "MARTINGALE_Z_LIMIT", "entry_point", "main", "parse_args", "run"]
 
 SEED_ENV_VAR = "JUMPTIME_SEED"
 
-#: A mean residual this many standard errors from zero fails the check.
-MARTINGALE_Z_LIMIT = 4.0
-
 #: Knot identities are exact up to float roundoff; beyond this is a failure.
 KNOT_TOLERANCE = 1e-12
-
-
-@dataclass
-class RunConfig:
-    command: str
-    model: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    n: int = 100_000
-    alpha: float = 0.01
-    seed: int = 42
-    out: Optional[str] = None
-    format: str = "json"
-    target: float = 1.0
-    m: int = 8
-    scheme: str = GEOMETRIC
-    grid: Optional[tuple] = None
 
 
 def _parse_params(parser: argparse.ArgumentParser, pairs) -> dict:
@@ -94,7 +83,7 @@ def _parse_grid(parser: argparse.ArgumentParser, text: Optional[str]):
         parser.error(f"--grid expects comma-separated times, got {text!r}")
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="jumptime",
         description="Simulate jump times and verify their compensator identities.",
@@ -151,58 +140,43 @@ def parse_args(argv) -> RunConfig:
 
     args = parser.parse_args(argv)
 
-    config = RunConfig(command=args.command)
-    config.out = getattr(args, "out", None)
-    config.format = getattr(args, "format", "json")
-
     if hasattr(args, "model"):
-        name = args.model
-        if name not in catalog_names() and name != "negative-control":
+        if args.model not in catalog_names() and args.model != "negative-control":
             parser.error(
-                f"--model: unknown model {name!r}; valid models: {', '.join(catalog_names())}"
+                f"--model: unknown model {args.model!r}; valid models: {', '.join(catalog_names())}"
             )
-        config.model = name
-        config.params = _parse_params(parser, getattr(args, "param", None))
+        args.params = _parse_params(parser, args.param)
 
     if hasattr(args, "n"):
         if args.n < 1:
             parser.error(f"--n must be a positive integer, got {args.n}")
-        config.n = args.n
-        if args.seed is not None:
-            seed = args.seed
-        else:
+        if args.seed is None:
             env = os.environ.get(SEED_ENV_VAR)
             if env is not None:
                 try:
-                    seed = int(env)
+                    args.seed = int(env)
                 except ValueError:
                     parser.error(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
             else:
-                seed = 42
-        if not (0 <= seed < 2**64):
-            parser.error(f"--seed must lie in [0, 2**64), got {seed}")
-        config.seed = seed
+                args.seed = 42
+        if not (0 <= args.seed < 2**64):
+            parser.error(f"--seed must lie in [0, 2**64), got {args.seed}")
         if args.workers < 1:
             parser.error(f"--workers must be a positive integer, got {args.workers}")
 
-    if hasattr(args, "alpha"):
-        if not (0.0 < args.alpha < 1.0):
-            parser.error(f"--alpha must lie in (0, 1), got {args.alpha}")
-        config.alpha = args.alpha
+    if hasattr(args, "alpha") and not (0.0 < args.alpha < 1.0):
+        parser.error(f"--alpha must lie in (0, 1), got {args.alpha}")
 
     if hasattr(args, "grid"):
-        config.grid = _parse_grid(parser, args.grid)
+        args.grid = _parse_grid(parser, args.grid)
 
     if args.command == "predictable-demo":
         if not args.target > 0.0:
             parser.error(f"--target must be positive, got {args.target}")
         if args.m < 1:
             parser.error(f"--m must be a positive integer, got {args.m}")
-        config.target = args.target
-        config.m = args.m
-        config.scheme = args.scheme
 
-    return config
+    return args
 
 
 @contextmanager
@@ -214,161 +188,131 @@ def _open_out(path: Optional[str]):
             yield fh
 
 
-def _write_json(fh, payload) -> None:
-    fh.write(json.dumps(payload, indent=2))
-    fh.write("\n")
+class _Report(NamedTuple):
+    """What one subcommand writes: the JSON document or the CSV rows, and its verdict."""
+
+    doc: dict
+    rows: list
+    passed: bool
+    summary: Optional[str] = None  # stderr line in CSV mode
 
 
-def _write_csv(fh, rows) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerows(rows)
-
-
-def _run_list_models(config: RunConfig) -> int:
-    names = list(catalog_names())
-    with _open_out(config.out) as fh:
-        if config.format == "csv":
-            _write_csv(fh, [("name",)] + [(name,) for name in names])
+def _write(args: argparse.Namespace, report: _Report) -> int:
+    with _open_out(args.out) as fh:
+        if args.format == "csv":
+            csv.writer(fh, lineterminator="\n").writerows(report.rows)
+            if report.summary is not None:
+                print(report.summary, file=sys.stderr)
         else:
-            _write_json(fh, {"models": names})
-    return 0
-
-
-def _run_exp_law(config: RunConfig) -> int:
-    model = build_model(config.model, config.params)
-    report = exp_law_verify(model, config.n, config.alpha, config.seed)
-    with _open_out(config.out) as fh:
-        if config.format == "csv":
-            _write_csv(fh, report.csv_rows())
-            print(
-                f"{report.model_name}: ks={report.ks_stat:.6f} "
-                f"bound={report.dkw_bound:.6f} passed={report.passed}",
-                file=sys.stderr,
-            )
-        else:
-            _write_json(fh, report.to_json_dict())
+            fh.write(json.dumps(report.doc, indent=2))
+            fh.write("\n")
     return 0 if report.passed else 1
 
 
-def _run_martingale(config: RunConfig) -> int:
-    model = build_model(config.model, config.params)
-    grid = config.grid if config.grid is not None else default_time_grid()
-    report = martingale_residual(model, config.n, grid, config.seed)
-    passed = report.max_abs_z < MARTINGALE_Z_LIMIT
-    with _open_out(config.out) as fh:
-        if config.format == "csv":
-            _write_csv(fh, report.csv_rows())
-            print(
-                f"{report.model_name}: max_abs_z={report.max_abs_z:.3f} passed={passed}",
-                file=sys.stderr,
-            )
-        else:
-            _write_json(fh, report.to_json_dict())
-    return 0 if passed else 1
+def _list_models(args: argparse.Namespace) -> _Report:
+    names = list(catalog_names())
+    return _Report({"models": names}, [("name",)] + [(name,) for name in names], True)
 
 
-def _run_feller(config: RunConfig) -> int:
-    model = build_model(config.model, config.params)
+def _exp_law(args: argparse.Namespace) -> _Report:
+    model = build_model(args.model, args.params)
+    report = exp_law_verify(model, args.n, args.alpha, args.seed)
+    summary = (
+        f"{report.model_name}: ks={report.ks_stat:.6f} "
+        f"bound={report.dkw_bound:.6f} passed={report.passed}"
+    )
+    return _Report(report.to_json_dict(), report.csv_rows(), report.passed, summary)
+
+
+def _martingale(args: argparse.Namespace) -> _Report:
+    model = build_model(args.model, args.params)
+    grid = args.grid if args.grid is not None else default_time_grid()
+    report = martingale_residual(model, args.n, grid, args.seed)
+    summary = f"{report.model_name}: max_abs_z={report.max_abs_z:.3f} passed={report.passed}"
+    return _Report(report.to_json_dict(), report.csv_rows(), report.passed, summary)
+
+
+def _feller(args: argparse.Namespace) -> _Report:
+    model = build_model(args.model, args.params)
     law = model.law()
     reports = [feller_check(law, f) for f in C0_WITNESSES]
     passed = all(r.passed for r in reports)
-    with _open_out(config.out) as fh:
-        if config.format == "csv":
-            rows: list[tuple] = [("function", "t", "e")]
-            for r in reports:
-                rows.extend(
-                    (r.function_name, t, e) for t, e in zip(DEFAULT_T_SCHEDULE, r.e_sequence)
-                )
-            _write_csv(fh, rows)
-            print(f"{model.name}: feller passed={passed}", file=sys.stderr)
-        else:
-            _write_json(
-                fh,
-                {
-                    "model_name": model.name,
-                    "law": law.description,
-                    "passed": passed,
-                    "reports": [r.to_json_dict() for r in reports],
-                },
-            )
-    return 0 if passed else 1
+    rows: list[tuple] = [("function", "t", "e")]
+    for r in reports:
+        rows.extend((r.function_name, t, e) for t, e in zip(DEFAULT_T_SCHEDULE, r.e_sequence))
+    doc = {
+        "model_name": model.name,
+        "law": law.description,
+        "passed": passed,
+        "reports": [r.to_json_dict() for r in reports],
+    }
+    return _Report(doc, rows, passed, f"{model.name}: feller passed={passed}")
 
 
-def _run_cox_demo(config: RunConfig) -> int:
-    model = build_model(config.model, config.params)
-    with _open_out(config.out) as fh:
-        if config.format == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("z", "tau", "a_at_tau", "seed", "stream_id"))
-            for k in range(config.n):
-                sample = cox_sample(model.compensator, RngStream(config.seed, k))
-                d = sample.to_json_dict()
-                writer.writerow((d["z"], d["tau"], d["a_at_tau"], d["seed"], d["stream_id"]))
-        else:
-            for k in range(config.n):
-                sample = cox_sample(model.compensator, RngStream(config.seed, k))
-                fh.write(json.dumps(sample.to_json_dict()))
-                fh.write("\n")
-    return 0
-
-
-def _run_predictable_demo(config: RunConfig) -> int:
-    seq = extract_strict_subsequence(
-        make_announcing_sequence(config.target, config.m, config.scheme)
-    )
+def _predictable_demo(args: argparse.Namespace) -> _Report:
+    seq = extract_strict_subsequence(make_announcing_sequence(args.target, args.m, args.scheme))
     y = build_y_process(seq)
     hit = y_hitting_time(y)
     max_knot_error = max(
         abs(value - level) for value, level in zip(y.path.values, y.knot_levels)
     )
     summary = {
-        "target": config.target,
-        "m": config.m,
-        "scheme": config.scheme,
+        "target": args.target,
+        "m": args.m,
+        "scheme": args.scheme,
         "hitting_time": hit.value if hit.is_finite else "infinity",
         "max_knot_error": max_knot_error,
     }
     knots = list(zip(y.path.times, y.path.values))
-    with _open_out(config.out) as fh:
-        if config.format == "csv":
-            _write_csv(fh, [("time", "value")] + knots)
-            print(json.dumps(summary), file=sys.stderr)
+    passed = hit.is_finite and hit.value == args.target and max_knot_error <= KNOT_TOLERANCE
+    doc = dict(summary, knots=[[t, v] for t, v in knots])
+    return _Report(doc, [("time", "value")] + knots, passed, json.dumps(summary))
+
+
+def _cox_demo(args: argparse.Namespace) -> int:
+    """Stream one row per sample; buffering a whole report would cost memory."""
+    model = build_model(args.model, args.params)
+    with _open_out(args.out) as fh:
+        if args.format == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("z", "tau", "a_at_tau", "seed", "stream_id"))
+            write_row = lambda d: writer.writerow(d.values())
         else:
-            _write_json(fh, dict(summary, knots=[[t, v] for t, v in knots]))
-    passed = hit.is_finite and hit.value == config.target and max_knot_error <= KNOT_TOLERANCE
-    return 0 if passed else 1
+            write_row = lambda d: fh.write(json.dumps(d) + "\n")
+        for k in range(args.n):
+            write_row(cox_sample(model.compensator, RngStream(args.seed, k)).to_json_dict())
+    return 0
 
 
-def run(config: RunConfig) -> int:
-    """Execute a parsed configuration; returns the process exit status."""
-    dispatch = {
-        "list-models": _run_list_models,
-        "verify-exp-law": _run_exp_law,
-        "verify-martingale": _run_martingale,
-        "feller-check": _run_feller,
-        "cox-demo": _run_cox_demo,
-        "predictable-demo": _run_predictable_demo,
-    }
-    handler = dispatch.get(config.command)
-    if handler is None:
-        print(f"error: unknown command {config.command!r}", file=sys.stderr)
+_BUILDERS = {
+    "list-models": _list_models,
+    "verify-exp-law": _exp_law,
+    "verify-martingale": _martingale,
+    "feller-check": _feller,
+    "predictable-demo": _predictable_demo,
+}
+
+
+def run(args: argparse.Namespace) -> int:
+    """Execute parsed arguments; returns the process exit status."""
+    builder = _BUILDERS.get(args.command)
+    if builder is None and args.command != "cox-demo":
+        print(f"error: unknown command {args.command!r}", file=sys.stderr)
         return 2
     try:
-        return handler(config)
+        if builder is None:
+            return _cox_demo(args)
+        return _write(args, builder(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InfiniteSampleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (InfiniteSampleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
 
 def main(argv=None) -> int:
-    config = parse_args(argv)
-    return run(config)
+    return run(parse_args(argv))
 
 
 def entry_point() -> None:

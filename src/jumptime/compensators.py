@@ -57,7 +57,7 @@ class Compensator(abc.ABC):
 
     @abc.abstractmethod
     def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized A over an array of finite times."""
+        """Vectorized A over an array of finite times; negative or NaN times raise."""
 
     @abc.abstractmethod
     def _evaluate_finite(self, t: float) -> float: ...
@@ -89,12 +89,12 @@ def _check_level(s: float) -> float:
     return s
 
 
-def _check_levels(ss) -> np.ndarray:
-    """Array twin of _check_level: reject any negative or NaN level."""
-    ss = np.asarray(ss, float)
-    if np.any(np.isnan(ss)) or np.any(ss < 0.0):
-        raise ValueError("levels must be nonnegative reals")
-    return ss
+def _check_nonnegative(xs, what: str = "levels") -> np.ndarray:
+    """Array twin of _check_level and of the time check: reject negatives and NaN."""
+    xs = np.asarray(xs, float)
+    if not np.all(xs >= 0.0):
+        raise ValueError(f"{what} must be nonnegative reals")
+    return xs
 
 
 @dataclass(frozen=True)
@@ -113,13 +113,13 @@ class LinearCompensator(Compensator):
         return self.rate * t
 
     def evaluate_many(self, ts):
-        return self.rate * np.asarray(ts, float)
+        return self.rate * _check_nonnegative(ts, "times")
 
     def inverse(self, s: float) -> TimePoint:
         return TimePoint(_check_level(s) / self.rate)
 
     def inverse_many(self, ss):
-        return _check_levels(ss) / self.rate
+        return _check_nonnegative(ss) / self.rate
 
 
 @dataclass(frozen=True)
@@ -138,13 +138,15 @@ class PowerCompensator(Compensator):
         return t**self.exponent
 
     def evaluate_many(self, ts):
-        return np.asarray(ts, float) ** self.exponent
+        return _check_nonnegative(ts, "times") ** self.exponent
 
     def inverse(self, s: float) -> TimePoint:
         return TimePoint(_check_level(s) ** (1.0 / self.exponent))
 
     def inverse_many(self, ss):
-        return _check_levels(ss) ** (1.0 / self.exponent)
+        # Small exponents overflow to inf; callers that need tau < inf check for it.
+        with np.errstate(over="ignore"):
+            return _check_nonnegative(ss) ** (1.0 / self.exponent)
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ class SaturatingExpCompensator(Compensator):
         return self.limit * -math.expm1(-self.rate * t)
 
     def evaluate_many(self, ts):
-        return self.limit * -np.expm1(-self.rate * np.asarray(ts, float))
+        return self.limit * -np.expm1(-self.rate * _check_nonnegative(ts, "times"))
 
     def inverse(self, s: float) -> TimePoint:
         s = _check_level(s)
@@ -178,7 +180,7 @@ class SaturatingExpCompensator(Compensator):
         return TimePoint(-math.log1p(-s / self.limit) / self.rate)
 
     def inverse_many(self, ss):
-        ss = _check_levels(ss)
+        ss = _check_nonnegative(ss)
         with np.errstate(divide="ignore", invalid="ignore"):
             finite = -np.log1p(-ss / self.limit) / self.rate
         return np.where(ss >= self.limit, math.inf, finite)
@@ -241,7 +243,7 @@ class TabulatedCompensator(Compensator):
         return v0 + (t - t0) * (v1 - v0) / (t1 - t0)
 
     def evaluate_many(self, ts):
-        ts = np.asarray(ts, float)
+        ts = _check_nonnegative(ts, "times")
         times = np.asarray(self.times)
         values = np.asarray(self.values)
         i = np.maximum(np.searchsorted(times, ts, side="right") - 1, 0)
@@ -273,7 +275,7 @@ class TabulatedCompensator(Compensator):
         return TimePoint(t0 + (s - v0) * (t1 - t0) / (v1 - v0))
 
     def inverse_many(self, ss):
-        ss = _check_levels(ss)
+        ss = _check_nonnegative(ss)
         times = np.asarray(self.times)
         values = np.asarray(self.values)
         j = np.minimum(np.searchsorted(values, ss, side="left"), len(values) - 1)
@@ -316,7 +318,7 @@ class StoppedCompensator(Compensator):
         return self.base.evaluate(t)
 
     def evaluate_many(self, ts):
-        ts = np.asarray(ts, float)
+        ts = _check_nonnegative(ts, "times")
         if self.tau.is_finite:
             ts = np.minimum(ts, self.tau.value)
         return self.base.evaluate_many(ts)
@@ -329,7 +331,7 @@ class StoppedCompensator(Compensator):
         return self.base.inverse(s)
 
     def inverse_many(self, ss):
-        ss = _check_levels(ss)
+        ss = _check_nonnegative(ss)
         return np.where(ss > self.range_sup, math.inf, self.base.inverse_many(ss))
 
 

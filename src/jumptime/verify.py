@@ -26,6 +26,7 @@ from .core import RngStream, draw_exponential
 from .processes import JumpModel
 
 __all__ = [
+    "MARTINGALE_Z_LIMIT",
     "ExpLawReport",
     "InfiniteSampleError",
     "MartingaleReport",
@@ -37,6 +38,10 @@ __all__ = [
     "ode_identity_check",
     "sample_a_tau",
 ]
+
+
+#: A mean residual this many standard errors from zero fails the martingale check.
+MARTINGALE_Z_LIMIT = 4.0
 
 
 class InfiniteSampleError(RuntimeError):
@@ -223,6 +228,11 @@ class MartingaleReport:
     residuals: tuple[tuple[float, float, float], ...]
     max_abs_z: float
 
+    @property
+    def passed(self) -> bool:
+        """Every residual mean lies within MARTINGALE_Z_LIMIT standard errors of 0."""
+        return self.max_abs_z < MARTINGALE_Z_LIMIT
+
     def to_json_dict(self) -> dict:
         return {
             "model_name": self.model_name,
@@ -258,7 +268,9 @@ def martingale_residual(
 
     One tau draw per replication is reused across all grid times (the
     residuals are functionals of the same path, and resampling per time
-    would only add variance).
+    would only add variance).  Where no replication has jumped by t, every
+    residual equals -A(t) and the sample spread is 0 or roundoff, so the
+    standard error comes from the martingale's own variance E[A(t ^ tau)].
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -275,7 +287,11 @@ def martingale_residual(
         stopped = np.minimum(taus, t)
         residual = indicator - model.compensator.evaluate_many(stopped)
         mean = float(residual.mean())
-        stderr = float(residual.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        if not indicator.any():
+            # Every residual is -A(t ^ tau), so E[A(t ^ tau)] is |mean|.
+            stderr = math.sqrt(abs(mean) / n)
+        else:
+            stderr = float(residual.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         if stderr > 0.0:
             z = abs(mean) / stderr
         else:

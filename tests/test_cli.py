@@ -1,12 +1,14 @@
 """Command-line interface: parsing, exit statuses, and output purity."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from jumptime.cli import main, parse_args
+from jumptime.cli import KNOT_TOLERANCE, MARTINGALE_Z_LIMIT, main, parse_args
 from jumptime.verify import _Z_CACHE
 
 
@@ -200,6 +202,71 @@ class TestOutputPurity:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["model_name"] == "poisson(rate=1)"
+
+
+#: (argv, CSV header, expected verdict) for every subcommand, each verify
+#: check with a passing and a failing model.
+CONTRACT_CASES = [
+    pytest.param(["list-models"], "name", True, id="list-models"),
+    pytest.param(["verify-exp-law", "--model", "poisson", "--n", "2000"],
+                 "t,ecdf,reference", True, id="exp-law-pass"),
+    pytest.param(["verify-exp-law", "--model", "negative-control", "--n", "2000"],
+                 "t,ecdf,reference", False, id="exp-law-fail"),
+    pytest.param(["verify-martingale", "--model", "ctmc", "--n", "2000"],
+                 "t,mean,stderr", True, id="martingale-pass"),
+    pytest.param(["verify-martingale", "--model", "negative-control", "--n", "2000"],
+                 "t,mean,stderr", False, id="martingale-fail"),
+    pytest.param(["feller-check", "--model", "flat"], "function,t,e", True, id="feller"),
+    pytest.param(["cox-demo", "--model", "poisson", "--n", "4"],
+                 "z,tau,a_at_tau,seed,stream_id", True, id="cox-demo"),
+    pytest.param(["predictable-demo", "--target", "2", "--m", "4"],
+                 "time,value", True, id="predictable-demo"),
+]
+
+#: Subcommands that print no summary line in CSV mode.
+NO_SUMMARY = {"list-models", "cox-demo"}
+
+
+def json_verdict(command, doc):
+    if command == "verify-martingale":
+        return doc["max_abs_z"] < MARTINGALE_Z_LIMIT
+    if command == "predictable-demo":
+        return doc["hitting_time"] == doc["target"] and doc["max_knot_error"] <= KNOT_TOLERANCE
+    return doc.get("passed", True)
+
+
+def summary_verdict(command, line):
+    if command == "predictable-demo":
+        return json_verdict(command, json.loads(line))
+    assert line.endswith((" passed=True", " passed=False")), line
+    return line.endswith("passed=True")
+
+
+class TestOneWriterContract:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv,header,expected", CONTRACT_CASES)
+    def test_status_data_and_diagnostics(self, capsys, argv, header, expected, fmt):
+        command = argv[0]
+        status = main(argv + ["--format", fmt])
+        captured = capsys.readouterr()
+        assert status == (0 if expected else 1)
+        if fmt == "json":
+            assert captured.err == ""
+            if command == "cox-demo":
+                docs = [json.loads(line) for line in captured.out.splitlines()]
+                assert [d["stream_id"] for d in docs] == [0, 1, 2, 3]
+            else:
+                assert json_verdict(command, json.loads(captured.out)) is expected
+            return
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert ",".join(rows[0]) == header
+        assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+        if command in NO_SUMMARY:
+            assert captured.err == ""
+        else:
+            lines = captured.err.splitlines()
+            assert len(lines) == 1
+            assert summary_verdict(command, lines[0]) is expected
 
 
 class TestDeterminism:

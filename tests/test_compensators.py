@@ -242,6 +242,14 @@ class TestVectorPaths:
         with pytest.raises(ValueError):
             A.inverse_many(np.array([0.5, bad]))
 
+    @pytest.mark.parametrize("A", EVERY_CLASS, ids=lambda A: type(A).__name__)
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_array_evaluate_rejects_what_the_scalar_rejects(self, A, bad):
+        with pytest.raises(ValueError):
+            A.evaluate(bad)
+        with pytest.raises(ValueError):
+            A.evaluate_many(np.array([0.5, bad]))
+
     @given(closed_forms | stopped_compensators, probes, probes)
     def test_closed_forms_match_scalar_paths(self, A, ts, ss):
         # numpy's SIMD pow/expm1/log1p may differ from libm in the last bit.

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from jumptime.compensators import SaturatingExpCompensator
 from jumptime.core import RngStream, draw_exponential
 from jumptime.processes import (
     JumpModel,
+    build_model,
     catalog_models,
     negative_control_model,
     poisson_model,
 )
 from jumptime.verify import (
+    MARTINGALE_Z_LIMIT,
     InfiniteSampleError,
     _Z_CACHE,
     default_time_grid,
@@ -153,6 +156,13 @@ class TestExpLawVerify:
         assert not report.passed
         assert report.ks_stat > 0.2
 
+    def test_overflowing_draws_raise_without_a_numpy_warning(self):
+        model = build_model("power", {"exponent": 0.001})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfiniteSampleError, match="infinite jump time"):
+                exp_law_verify(model, 1000, 0.01, seed=42)
+
     def test_report_is_reproducible(self):
         model = poisson_model(2.0)
         _Z_CACHE.clear()
@@ -232,6 +242,26 @@ class TestMartingaleResidual:
             negative_control_model(), 20_000, default_time_grid(), seed=42
         )
         assert report.max_abs_z > 10.0
+
+    def test_passed_is_the_z_limit(self):
+        good = martingale_residual(poisson_model(1.0), 20_000, default_time_grid(), seed=42)
+        bad = martingale_residual(negative_control_model(), 20_000, default_time_grid(), seed=42)
+        assert good.passed and good.max_abs_z < MARTINGALE_Z_LIMIT
+        assert not bad.passed and bad.max_abs_z >= MARTINGALE_Z_LIMIT
+        assert "passed" not in good.to_json_dict()
+
+    @pytest.mark.parametrize("exponent", [6.7, 10.0, 20.0])
+    def test_no_jump_rows_use_the_martingale_variance(self, exponent):
+        # No replication jumps by t = 0.1, so every residual is -A(t) and the
+        # sample spread is 0 or roundoff; the variance is E[A(t ^ tau)] = A(t).
+        n = 20_000
+        report = martingale_residual(
+            build_model("power", {"exponent": exponent}), n, default_time_grid(), seed=42
+        )
+        t, mean, stderr = report.residuals[0]
+        assert mean == pytest.approx(-(t**exponent), rel=1e-9)
+        assert stderr == pytest.approx(math.sqrt(t**exponent / n), rel=1e-9)
+        assert report.passed, report.max_abs_z
 
     def test_json_schema(self):
         report = martingale_residual(poisson_model(1.0), 500, [0.5, 1.0], seed=2)
