@@ -14,8 +14,8 @@ the reports' own (``ExpLawReport.passed``, ``MartingaleReport.passed``, the
 Feller reports' ``passed``).  ``cox-demo`` streams its rows, one per sample.
 
 Exit status contract: 0 all checks passed, 1 a verification honestly failed,
-2 usage error, 3 runtime error (including an infinite jump-time draw and
-unwritable output paths).
+2 usage error, 3 runtime error (including an infinite jump-time draw, a jump
+time that overflows a float, and unwritable output paths).
 """
 
 from __future__ import annotations
@@ -253,18 +253,16 @@ def _predictable_demo(args: argparse.Namespace) -> _Report:
     seq = extract_strict_subsequence(make_announcing_sequence(args.target, args.m, args.scheme))
     y = build_y_process(seq)
     hit = y_hitting_time(y)
-    max_knot_error = max(
-        abs(value - level) for value, level in zip(y.path.values, y.knot_levels)
-    )
+    max_knot_error = max(abs(level - 1.0 / i) for i, level in enumerate(y.knot_levels, 1))
     summary = {
         "target": args.target,
         "m": args.m,
         "scheme": args.scheme,
-        "hitting_time": hit.value if hit.is_finite else "infinity",
+        "hitting_time": hit.value,
         "max_knot_error": max_knot_error,
     }
     knots = list(zip(y.path.times, y.path.values))
-    passed = hit.is_finite and hit.value == args.target and max_knot_error <= KNOT_TOLERANCE
+    passed = hit.value == args.target and max_knot_error <= KNOT_TOLERANCE
     doc = dict(summary, knots=[[t, v] for t, v in knots])
     return _Report(doc, [("time", "value")] + knots, passed, json.dumps(summary))
 
@@ -306,7 +304,7 @@ def run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InfiniteSampleError, OSError) as exc:
+    except (InfiniteSampleError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

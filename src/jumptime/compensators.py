@@ -41,11 +41,6 @@ class Compensator(abc.ABC):
     #: Supremum of A over [0, infinity); math.inf when unbounded.
     range_sup: float
 
-    @property
-    def domain_sup(self) -> TimePoint:
-        """All forms here are defined on the whole half line."""
-        return INFINITY
-
     def evaluate(self, t: TimeLike) -> float:
         """A(t); A(infinity) is range_sup and requires it to be finite."""
         tp = as_timepoint(t)
@@ -141,7 +136,13 @@ class PowerCompensator(Compensator):
         return _check_nonnegative(ts, "times") ** self.exponent
 
     def inverse(self, s: float) -> TimePoint:
-        return TimePoint(_check_level(s) ** (1.0 / self.exponent))
+        try:
+            return TimePoint(_check_level(s) ** (1.0 / self.exponent))
+        except OverflowError:
+            # The true tau is finite, so INFINITY would be a wrong answer.
+            raise OverflowError(
+                f"jump time overflows a float: level {s} ** (1 / exponent {self.exponent:g})"
+            ) from None
 
     def inverse_many(self, ss):
         # Small exponents overflow to inf; callers that need tau < inf check for it.
@@ -186,6 +187,23 @@ class SaturatingExpCompensator(Compensator):
         return np.where(ss >= self.limit, math.inf, finite)
 
 
+def _first_bad_knot(times, values) -> tuple[int, str] | None:
+    """Index and reason of the first knot breaking a table's invariants, or None."""
+    for i, (t, v) in enumerate(zip(times, values)):
+        if not (math.isfinite(t) and math.isfinite(v)):
+            return i, "entries must be finite"
+        if i == 0:
+            if t != 0.0:
+                return i, f"table must start at time 0, got {t}"
+            if v != 0.0:
+                return i, f"A(0) must be 0, got {v}"
+        elif t <= times[i - 1]:
+            return i, "times must be strictly increasing"
+        elif v < values[i - 1]:
+            return i, "values must be nondecreasing"
+    return None
+
+
 @dataclass(frozen=True)
 class TabulatedCompensator(Compensator):
     """Piecewise-linear compensator through (time, value) knots.
@@ -207,18 +225,9 @@ class TabulatedCompensator(Compensator):
             raise ValueError("a tabulated compensator needs at least two knots")
         if len(values) != len(times):
             raise ValueError("times and values must have equal length")
-        if times[0] != 0.0:
-            raise ValueError("the table must start at time 0")
-        if values[0] != 0.0:
-            raise ValueError("A(0) must be 0")
-        for i in range(1, len(times)):
-            if not times[i] > times[i - 1]:
-                raise ValueError(f"times must be strictly increasing at knot {i}")
-            if values[i] < values[i - 1]:
-                raise ValueError(f"values must be nondecreasing at knot {i}")
-        for t, v in zip(times, values):
-            if not (math.isfinite(t) and math.isfinite(v)):
-                raise ValueError("knots must be finite")
+        bad = _first_bad_knot(times, values)
+        if bad is not None:
+            raise ValueError(f"knot {bad[0]}: {bad[1]}")
         if self.extrapolation_slope is not None:
             slope = float(self.extrapolation_slope)
             if not (math.isfinite(slope) and slope >= 0.0):
@@ -368,6 +377,7 @@ def load_tabulated_csv(path, extrapolation_slope: float | None = None) -> Tabula
     The first row is a header.  Violations of the compensator invariants are
     rejected with the offending data row index (1-based, header excluded).
     """
+    rows: list[int] = []
     times: list[float] = []
     values: list[float] = []
     with open(path, newline="") as fh:
@@ -387,20 +397,12 @@ def load_tabulated_csv(path, extrapolation_slope: float | None = None) -> Tabula
                 t, v = float(row[0]), float(row[1])
             except ValueError:
                 raise ValueError(f"row {idx}: non-numeric entry {row[:2]!r}") from None
-            if not (math.isfinite(t) and math.isfinite(v)):
-                raise ValueError(f"row {idx}: entries must be finite")
-            if not times:
-                if t != 0.0:
-                    raise ValueError(f"row {idx}: table must start at time 0, got {t}")
-                if v != 0.0:
-                    raise ValueError(f"row {idx}: A(0) must be 0, got {v}")
-            else:
-                if t <= times[-1]:
-                    raise ValueError(f"row {idx}: times must be strictly increasing")
-                if v < values[-1]:
-                    raise ValueError(f"row {idx}: values must be nondecreasing")
+            rows.append(idx)
             times.append(t)
             values.append(v)
+    bad = _first_bad_knot(times, values)
+    if bad is not None:
+        raise ValueError(f"row {rows[bad[0]]}: {bad[1]}")
     if len(times) < 2:
         raise ValueError("table needs at least two data rows")
     if all(v == 0.0 for v in values) and not (extrapolation_slope and extrapolation_slope > 0.0):

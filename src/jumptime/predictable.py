@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from .core import INFINITY, LINEAR, CadlagPath, TimeLike, TimePoint, as_timepoint
+from .core import LINEAR, CadlagPath, TimeLike, TimePoint, as_timepoint
 
 __all__ = [
     "GEOMETRIC",
@@ -31,22 +30,18 @@ __all__ = [
 GEOMETRIC = "geometric"
 HARMONIC = "harmonic"
 
-#: Slack for comparing a declared closeness against the float-computed gap.
-_GAP_SLACK = 1e-12
-
 
 @dataclass(frozen=True)
 class AnnouncingSequence:
     """Finitely many times announcing a target from strictly below.
 
     ``times`` are nondecreasing and (for a positive target) all strictly less
-    than ``target``, with the last one within ``epsilon_announce`` of it.  The
+    than ``target``; ``epsilon_announce`` is the gap the last one leaves.  The
     degenerate target 0 announces itself: times must be empty or all zero.
     """
 
     times: tuple[float, ...]
     target: float
-    epsilon_announce: Optional[float] = None
 
     def __post_init__(self):
         target = float(self.target)
@@ -67,7 +62,6 @@ class AnnouncingSequence:
         if target == 0.0:
             if any(t != 0.0 for t in times):
                 raise ValueError("target 0 admits only the all-zero announcing sequence")
-            object.__setattr__(self, "epsilon_announce", float(self.epsilon_announce or 0.0))
             return
 
         if not times:
@@ -77,19 +71,11 @@ class AnnouncingSequence:
                 f"announcing times must stay strictly below the target "
                 f"({times[-1]} >= {target})"
             )
-        gap = target - times[-1]
-        if self.epsilon_announce is None:
-            object.__setattr__(self, "epsilon_announce", gap)
-        else:
-            eps = float(self.epsilon_announce)
-            if not (math.isfinite(eps) and eps > 0.0):
-                raise ValueError(f"epsilon_announce must be positive and finite, got {eps}")
-            if gap > eps + _GAP_SLACK * max(1.0, target):
-                raise ValueError(
-                    f"last time misses the target by {gap}, beyond the declared "
-                    f"closeness {eps}"
-                )
-            object.__setattr__(self, "epsilon_announce", eps)
+
+    @property
+    def epsilon_announce(self) -> float:
+        """Gap between the last announcing time and the target (0 for target 0)."""
+        return self.target - self.times[-1] if self.target > 0.0 else 0.0
 
     def __len__(self) -> int:
         return len(self.times)
@@ -109,20 +95,18 @@ def extract_strict_subsequence(seq: AnnouncingSequence) -> AnnouncingSequence:
             kept.append(t)
     if seq.target == 0.0:
         kept = kept[:1]
-    return AnnouncingSequence(tuple(kept), seq.target, seq.epsilon_announce)
+    return AnnouncingSequence(tuple(kept), seq.target)
 
 
 @dataclass(frozen=True)
 class YProcess:
     """Continuous nonincreasing path hitting zero exactly at its target.
 
-    ``knot_levels`` records the value 1/i at the start of segment i, i.e. at
-    time tau_{i-1}; the closing knot at the target has value 0.
+    ``knot_levels`` (1/i at tau_{i-1} for a built Y) and ``target`` (the
+    closing knot, where the value is 0) are read off the path.
     """
 
     path: CadlagPath
-    knot_levels: tuple[float, ...]
-    target: TimePoint
 
     def __post_init__(self):
         values = self.path.values
@@ -135,11 +119,19 @@ class YProcess:
         if any(kind != LINEAR for kind in self.path.kinds):
             raise ValueError("Y is continuous: all segments must be linear")
 
+    @property
+    def knot_levels(self) -> tuple[float, ...]:
+        return self.path.values[:-1]
+
+    @property
+    def target(self) -> TimePoint:
+        return TimePoint(self.path.times[-1])
+
     def __call__(self, t: TimeLike) -> float:
         return self.path.evaluate(t)
 
 
-def build_y_process(seq: AnnouncingSequence, target: TimeLike | None = None) -> YProcess:
+def build_y_process(seq: AnnouncingSequence) -> YProcess:
     """Piecewise-linear Y through (tau_{i-1}, 1/i), closed to 0 at the target.
 
     Knots: (0, 1), (tau_1, 1/2), ..., (tau_m, 1/(m+1)), (target, 0); the last
@@ -147,20 +139,8 @@ def build_y_process(seq: AnnouncingSequence, target: TimeLike | None = None) -> 
     Requires strictly increasing positive times (strictify first) below the
     target.  A target of 0 yields the identically-zero process.
     """
-    if target is not None:
-        tp = as_timepoint(target)
-        declared = tp.value if tp.is_finite else math.inf
-        if declared != seq.target:
-            raise ValueError(
-                f"explicit target {declared} disagrees with the sequence target {seq.target}"
-            )
-
     if seq.target == 0.0:
-        return YProcess(
-            path=CadlagPath.constant(0.0),
-            knot_levels=(),
-            target=TimePoint(0.0),
-        )
+        return YProcess(path=CadlagPath.constant(0.0))
 
     times = seq.times
     for i in range(1, len(times)):
@@ -171,15 +151,10 @@ def build_y_process(seq: AnnouncingSequence, target: TimeLike | None = None) -> 
             )
     if times[0] <= 0.0:
         raise ValueError("the first announcing time must be strictly positive")
-    if times[-1] >= seq.target:
-        raise ValueError("the target must exceed the last announcing time")
 
-    m = len(times)
     knot_times = (0.0,) + times + (seq.target,)
-    knot_levels = tuple(1.0 / i for i in range(1, m + 2))
-    knot_values = knot_levels + (0.0,)
-    path = CadlagPath.piecewise_linear(knot_times, knot_values)
-    return YProcess(path=path, knot_levels=knot_levels, target=TimePoint(seq.target))
+    knot_values = tuple(1.0 / i for i in range(1, len(times) + 2)) + (0.0,)
+    return YProcess(path=CadlagPath.piecewise_linear(knot_times, knot_values))
 
 
 def y_hitting_time(Y: YProcess) -> TimePoint:
@@ -187,12 +162,9 @@ def y_hitting_time(Y: YProcess) -> TimePoint:
 
     A nonincreasing continuous piecewise-linear path first touches zero at
     the earliest knot with value zero; interior points of a segment ending
-    above zero stay positive.
+    above zero stay positive.  Y ends at 0, so that knot always exists.
     """
-    for t, v in zip(Y.path.times, Y.path.values):
-        if v == 0.0:
-            return TimePoint(t)
-    return INFINITY
+    return TimePoint(Y.path.times[Y.path.values.index(0.0)])
 
 
 def make_announcing_sequence(target: TimeLike, m: int, scheme: str) -> AnnouncingSequence:
@@ -211,10 +183,8 @@ def make_announcing_sequence(target: TimeLike, m: int, scheme: str) -> Announcin
         raise ValueError(f"m must be a positive integer, got {m}")
     if scheme == GEOMETRIC:
         times = tuple(t - t * 2.0**-n for n in range(1, m + 1))
-        eps = t * 2.0**-m
     elif scheme == HARMONIC:
         times = tuple(t * n / (n + 1) for n in range(1, m + 1))
-        eps = t / (m + 1)
     else:
         raise ValueError(f"unknown scheme {scheme!r}; use {GEOMETRIC!r} or {HARMONIC!r}")
-    return AnnouncingSequence(times, t, eps)
+    return AnnouncingSequence(times, t)

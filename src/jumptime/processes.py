@@ -346,7 +346,6 @@ class FellerReport:
     tail_bound: float
     e_sequence: tuple[float, ...]
     e_final_bound: float
-    passed: bool
 
     @property
     def e_final(self) -> float:
@@ -355,6 +354,16 @@ class FellerReport:
     @property
     def nonincreasing(self) -> bool:
         return all(b <= a for a, b in zip(self.e_sequence, self.e_sequence[1:]))
+
+    @property
+    def passed(self) -> bool:
+        """All three axioms hold on the witness set."""
+        return (
+            self.identity_max_error == 0.0
+            and self.tail_value_max <= self.tail_bound
+            and self.nonincreasing
+            and self.e_final <= self.e_final_bound
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -407,17 +416,10 @@ def feller_check(
     e_sequence = tuple(
         max(abs(semigroup_apply(f, t, x, law) - f(x)) for x in x_grid) for t in t_schedule
     )
-    nonincreasing = all(b <= a for a, b in zip(e_sequence, e_sequence[1:]))
 
     max_abs_f = max(abs(f(x)) for x in x_grid)
     e_final_bound = 2.0 * law.tau_cdf(t_schedule[-1]) * max_abs_f + 1e-15
 
-    passed = (
-        identity_max_error == 0.0
-        and tail_value_max <= tail_bound
-        and nonincreasing
-        and e_sequence[-1] <= e_final_bound
-    )
     return FellerReport(
         function_name=getattr(f, "__name__", repr(f)),
         law_description=law.description,
@@ -428,5 +430,4 @@ def feller_check(
         tail_bound=tail_bound,
         e_sequence=e_sequence,
         e_final_bound=e_final_bound,
-        passed=passed,
     )

@@ -219,7 +219,7 @@ def test_criterion_10_y_process():
                 y = build_y_process(extract_strict_subsequence(seq))
 
                 knot_err = max(
-                    abs(v - l) for v, l in zip(y.path.values, y.knot_levels)
+                    abs(level - 1.0 / i) for i, level in enumerate(y.knot_levels, 1)
                 )
                 worst_knot = max(worst_knot, knot_err)
                 assert knot_err <= 1e-12, (scheme, m, target)

@@ -116,6 +116,16 @@ class TestRunExitCodes:
         assert code == 3
         assert "error" in capsys.readouterr().err
 
+    def test_overflowing_jump_time_is_three(self):
+        cmd = [sys.executable, "-m", "jumptime.cli", "cox-demo", "--model", "power",
+               "--param", "exponent=0.001", "--n", "50"]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "exponent 0.001" in lines[0]
+
     def test_martingale_pass_is_zero(self, capsys):
         code = main(
             ["verify-martingale", "--model", "ctmc", "--param", "exit_rate=3",

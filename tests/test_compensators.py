@@ -131,6 +131,11 @@ class TestPower:
         with pytest.raises(ValueError):
             PowerCompensator(0.0)
 
+    def test_overflowing_inverse_names_exponent_and_level(self):
+        # 2.5 ** 1000 is finite in exact arithmetic; INFINITY would be wrong.
+        with pytest.raises(OverflowError, match=r"level 2\.5 .*exponent 0\.001"):
+            PowerCompensator(0.001).inverse(2.5)
+
 
 class TestSaturatingExp:
     def test_bounded_range(self):
@@ -357,6 +362,26 @@ class TestCsvLoader:
             load_tabulated_csv(self._write(tmp_path, ""))
         with pytest.raises(ValueError, match="two data rows"):
             load_tabulated_csv(self._write(tmp_path, "t,value\n"))
+
+    @pytest.mark.parametrize(
+        "times, values, knot, reason",
+        [
+            ((0.5, 1.0), (0.0, 1.0), 0, "table must start at time 0, got 0.5"),
+            ((0.0, 1.0), (0.5, 1.0), 0, "A(0) must be 0, got 0.5"),
+            ((0.0, 1.0, 1.0), (0.0, 1.0, 2.0), 2, "times must be strictly increasing"),
+            ((0.0, 1.0, 2.0), (0.0, 1.0, 0.5), 2, "values must be nondecreasing"),
+            ((0.0, 1.0, 2.0), (0.0, math.inf, 3.0), 1, "entries must be finite"),
+            ((0.0, math.nan, 2.0), (0.0, 1.0, 2.0), 1, "entries must be finite"),
+        ],
+    )
+    def test_loader_and_class_reject_the_same_knot(self, tmp_path, times, values, knot, reason):
+        text = "t,value\n" + "".join(f"{t},{v}\n" for t, v in zip(times, values))
+        with pytest.raises(ValueError) as loaded:
+            load_tabulated_csv(self._write(tmp_path, text))
+        assert str(loaded.value) == f"row {knot + 1}: {reason}"
+        with pytest.raises(ValueError) as built:
+            TabulatedCompensator(times, values)
+        assert str(built.value) == f"knot {knot}: {reason}"
 
     def test_rejects_identically_zero_table(self, tmp_path):
         path = self._write(tmp_path, "t,value\n0,0\n1,0\n")

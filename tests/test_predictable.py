@@ -41,12 +41,9 @@ class TestAnnouncingSequence:
         with pytest.raises(ValueError, match="at least one"):
             AnnouncingSequence((), 1.0)
 
-    def test_rejects_understated_closeness(self):
-        with pytest.raises(ValueError, match="closeness"):
-            AnnouncingSequence((0.5,), 1.0, epsilon_announce=0.1)
-
     def test_target_zero_announces_itself(self):
         assert AnnouncingSequence((), 0.0).times == ()
+        assert AnnouncingSequence((), 0.0).epsilon_announce == 0.0
         assert AnnouncingSequence((0.0, 0.0), 0.0).times == (0.0, 0.0)
         with pytest.raises(ValueError, match="all-zero"):
             AnnouncingSequence((0.0, 0.5), 0.0)
@@ -109,15 +106,14 @@ class TestBuildYProcess:
 
     def test_target_zero_gives_the_zero_process(self):
         y = build_y_process(AnnouncingSequence((), 0.0))
+        assert y.knot_levels == () and y.target == TimePoint(0.0)
         assert y(0.0) == 0.0
         assert y(5.0) == 0.0
         assert y_hitting_time(y) == TimePoint(0.0)
 
     def test_explicit_target_must_agree(self):
         seq = AnnouncingSequence((1.0, 1.5), 2.0)
-        assert build_y_process(seq, 2.0).target == TimePoint(2.0)
-        with pytest.raises(ValueError, match="disagrees"):
-            build_y_process(seq, 3.0)
+        assert build_y_process(seq).target == TimePoint(2.0)
 
     def test_rejects_non_strict_times(self):
         seq = AnnouncingSequence((1.0, 1.0, 1.5), 2.0)
@@ -163,8 +159,9 @@ class TestHittingTime:
         from jumptime.predictable import YProcess
 
         path = CadlagPath(times=(0.0, 1.0), values=(1.0, 0.0), kinds=(LINEAR,))
-        y = YProcess(path=path, knot_levels=(1.0,), target=TimePoint(1.0))
+        y = YProcess(path=path)
         assert y_hitting_time(y) == TimePoint(1.0)
+        assert y.knot_levels == (1.0,) and y.target == TimePoint(1.0)
 
     def test_y_process_validation(self):
         from jumptime.core import CONSTANT, LINEAR, CadlagPath
@@ -172,13 +169,13 @@ class TestHittingTime:
 
         increasing = CadlagPath(times=(0.0, 1.0), values=(0.0, 1.0), kinds=(LINEAR,))
         with pytest.raises(ValueError, match="nonincreasing"):
-            YProcess(path=increasing, knot_levels=(0.0,), target=TimePoint(1.0))
+            YProcess(path=increasing)
         positive_end = CadlagPath(times=(0.0, 1.0), values=(1.0, 0.5), kinds=(LINEAR,))
         with pytest.raises(ValueError, match="end at exactly 0"):
-            YProcess(path=positive_end, knot_levels=(1.0,), target=TimePoint(1.0))
+            YProcess(path=positive_end)
         jumpy = CadlagPath(times=(0.0, 1.0), values=(1.0, 0.0), kinds=(CONSTANT,))
         with pytest.raises(ValueError, match="linear"):
-            YProcess(path=jumpy, knot_levels=(1.0,), target=TimePoint(1.0))
+            YProcess(path=jumpy)
 
 
 class TestMakeAnnouncingSequence:

@@ -303,6 +303,23 @@ class TestFellerCheck:
         with pytest.raises(ValueError):
             feller_check(EXP1, gauss_bump, t_schedule=(1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            {"identity_max_error": 1e-300},
+            {"tail_value_max": math.inf},
+            {"e_sequence": (0.0,) + feller_check(EXP1, gauss_bump).e_sequence},
+            {"e_final_bound": -1.0},
+        ],
+        ids=["identity", "tail", "nonincreasing", "e_final"],
+    )
+    def test_verdict_follows_each_clause(self, broken):
+        from dataclasses import replace
+
+        report = feller_check(EXP1, gauss_bump)
+        assert report.passed is True
+        assert replace(report, **broken).passed is False
+
     def test_json_round_trip(self):
         report = feller_check(EXP1, tent)
         d = report.to_json_dict()

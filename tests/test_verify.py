@@ -98,6 +98,21 @@ class TestOdeIdentity:
             ode_identity_check([], [1.0])
         with pytest.raises(ValueError):
             ode_identity_check([1.0], [-0.5])
+        with pytest.raises(ValueError, match="nonnegative"):
+            ode_identity_check([1.0], [1.0, math.nan])
+
+    def test_integral_is_exact(self):
+        # int_0^t ecdf = (1/n) sum max(0, t - x_i), which is (0.5 + 0) / 2 at
+        # t = 1 here; a mesh rule would be off by about its step.
+        assert ode_identity_check([0.5, 1.5], [1.0]) == pytest.approx(
+            abs(0.25 - math.exp(-1.0)), abs=1e-15
+        )
+        xs = np.random.default_rng(3).exponential(size=1000)
+        grid = (0.0, 0.3, 1.0, 2.5, 9.0)
+        direct = max(
+            abs(np.maximum(0.0, t - xs).mean() - (t - 1.0 + math.exp(-t))) for t in grid
+        )
+        assert ode_identity_check(xs, grid) == pytest.approx(direct, abs=1e-12)
 
 
 class TestSampleATau:
@@ -214,8 +229,8 @@ class TestExpLawVerify:
         report = exp_law_verify(poisson_model(1.0), 2000, 0.05, seed=8)
         from dataclasses import replace
 
-        with pytest.raises(ValueError):
-            replace(report, passed=not report.passed)
+        assert report.passed is True
+        assert replace(report, ks_stat=report.dkw_bound).passed is False
 
 
 class TestMartingaleResidual:
