@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -36,6 +37,7 @@ from .predictable import (
     build_y_process,
     extract_strict_subsequence,
     make_announcing_sequence,
+    max_geometric_m,
     y_hitting_time,
 )
 from .processes import (
@@ -175,6 +177,14 @@ def parse_args(argv) -> argparse.Namespace:
             parser.error(f"--target must be positive, got {args.target}")
         if args.m < 1:
             parser.error(f"--m must be a positive integer, got {args.m}")
+        # An infinite target is refused by make_announcing_sequence itself.
+        if args.scheme == GEOMETRIC and math.isfinite(args.target):
+            limit = max_geometric_m(args.target)
+            if args.m > limit:
+                parser.error(
+                    f"--m must be at most {limit} for --target {args.target} "
+                    f"with the geometric scheme, got {args.m}"
+                )
 
     return args
 

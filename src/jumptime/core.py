@@ -5,6 +5,14 @@ Three things live here: model time with an explicit, tagged infinity
 deterministic multi-stream randomness (``RngStream``).  Everything is an
 immutable value, safe to share between threads and to split across
 replications by stream id.
+
+``RngStream`` is the scalar reference: one numpy Philox4x64-10 generator keyed
+by ``(seed, stream_id)``.  ``draw_exponentials`` is a pure-numpy port of the
+same generator's first output word (Salmon, Moraes, Dror & Shaw, "Parallel
+Random Numbers: As Easy as 1, 2, 3", SC'11) that computes the first Exp(1)
+draw of streams 0..n-1 in vectorised blocks, bit for bit equal to
+``draw_exponential(RngStream(seed, k))``: the 128-bit products come from
+32-bit halves, and the log is libm's, element by element.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ __all__ = [
     "TimeLike",
     "as_timepoint",
     "draw_exponential",
+    "draw_exponentials",
     "exponential_from_uniform",
 ]
 
@@ -235,6 +244,11 @@ class CadlagPath:
         return self.evaluate(t)
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+
+
 @dataclass(frozen=True)
 class RngStream:
     """One reproducible random stream out of a keyed family.
@@ -249,8 +263,7 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _check_seed(self.seed)
         if not 0 <= int(self.stream_id) < 2**64:
             raise ValueError("stream_id must be a nonnegative 64-bit integer")
 
@@ -284,3 +297,73 @@ def exponential_from_uniform(u: float) -> float:
 def draw_exponential(stream: RngStream) -> float:
     """Draw the next Exp(1) variate from the stream."""
     return exponential_from_uniform(stream.uniform_open())
+
+
+# Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11), as numpy implements it.
+_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
+_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+#: Stream ids per vectorised pass; keeps the temporaries to a few MB.
+_DRAW_BLOCK = 16384
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit halves of the 128-bit products m * x."""
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lo_lo = m_lo * x_lo
+    hi_lo = m_hi * x_lo
+    lo_hi = m_lo * x_hi
+    cross = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + lo_hi
+    hi = m_hi * x_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32)
+    return hi, m * x
+
+
+def _philox_first_words(seed: int, stream_ids: np.ndarray) -> np.ndarray:
+    """First output word of ``RngStream(seed, k)``'s generator for each id k.
+
+    The key is ``(seed, k)``; the counter is ``(1, 0, 0, 0)``, because numpy
+    bumps the counter before it computes its first block.
+    """
+    ids = np.asarray(stream_ids, dtype=np.uint64)
+    zeros = np.zeros_like(ids)
+    c0, c1, c2, c3 = np.ones_like(ids), zeros, zeros, zeros
+    for r in range(10):
+        k0 = np.uint64((seed + r * _PHILOX_W0) % 2**64)
+        k1 = ids + np.uint64(r * _PHILOX_W1 % 2**64)
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0
+
+
+def _exponentials_from_words(words: np.ndarray) -> np.ndarray:
+    """``exponential_from_uniform(1 - random())`` for each generator word.
+
+    The log goes through ``math.log`` element by element: numpy's SIMD log
+    differs from libm in the last bit on a few hundred per 1e5 inputs.
+    """
+    u = 1.0 - (words >> np.uint64(11)) * 2.0**-53
+    u[u == 1.0] = _MIN_UNIFORM
+    return -np.fromiter(map(math.log, u.tolist()), float, len(u))
+
+
+def draw_exponentials(seed: int, n: int) -> np.ndarray:
+    """``draw_exponential(RngStream(seed, k))`` for k = 0..n-1, bit for bit.
+
+    Philox is counter-based, so each stream's first draw is a pure function
+    of ``(seed, k)`` and all n are computed in vectorised blocks instead of
+    building n generators.
+    """
+    _check_seed(seed)
+    out = np.empty(n)
+    for start in range(0, n, _DRAW_BLOCK):
+        ids = np.arange(start, min(start + _DRAW_BLOCK, n), dtype=np.uint64)
+        out[start : start + len(ids)] = _exponentials_from_words(
+            _philox_first_words(int(seed), ids)
+        )
+    return out

@@ -24,6 +24,7 @@ __all__ = [
     "build_y_process",
     "extract_strict_subsequence",
     "make_announcing_sequence",
+    "max_geometric_m",
     "y_hitting_time",
 ]
 
@@ -167,10 +168,23 @@ def y_hitting_time(Y: YProcess) -> TimePoint:
     return TimePoint(Y.path.times[Y.path.values.index(0.0)])
 
 
+def max_geometric_m(target: float) -> int:
+    """Largest m whose geometric times ``t - t * 2**-n``, n <= m, stay below t.
+
+    Beyond it ``t * 2**-n`` is under half an ulp of t, so the time rounds to
+    the target itself (m = 53 for target 1).
+    """
+    n = 1
+    while target - target * 2.0**-n < target:
+        n += 1
+    return n - 1
+
+
 def make_announcing_sequence(target: TimeLike, m: int, scheme: str) -> AnnouncingSequence:
     """Concrete announcing sequences for a finite positive target.
 
-    GEOMETRIC: tau_n = target * (1 - 2**-n), closing gap target * 2**-m.
+    GEOMETRIC: tau_n = target * (1 - 2**-n), closing gap target * 2**-m;
+               m may not exceed ``max_geometric_m(target)``.
     HARMONIC:  tau_n = target * n / (n + 1), closing gap target / (m + 1).
     """
     tp = as_timepoint(target)
@@ -182,6 +196,12 @@ def make_announcing_sequence(target: TimeLike, m: int, scheme: str) -> Announcin
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m}")
     if scheme == GEOMETRIC:
+        limit = max_geometric_m(t)
+        if m > limit:
+            raise ValueError(
+                f"m must be at most {limit} for target {t} with the geometric scheme, "
+                f"got {m}: t - t * 2**-{limit + 1} rounds to the target"
+            )
         times = tuple(t - t * 2.0**-n for n in range(1, m + 1))
     elif scheme == HARMONIC:
         times = tuple(t * n / (n + 1) for n in range(1, m + 1))

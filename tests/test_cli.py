@@ -74,6 +74,14 @@ class TestParseArgs:
         assert parse_error_code(["verify-exp-law", "--model", "poisson", "--format", "xml"]) == 2
         assert parse_error_code(["verify-martingale", "--model", "flat", "--grid", "a,b"]) == 2
 
+    def test_geometric_m_beyond_float_resolution_names_the_flag(self, capsys):
+        assert parse_error_code(["predictable-demo", "--m", "60"]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "--m must be at most 53" in errors[0] and "got 60" in errors[0]
+        assert main(["predictable-demo", "--m", "53"]) == 0
+        assert main(["predictable-demo", "--m", "60", "--scheme", "harmonic"]) == 0
+
     def test_unknown_flag_and_missing_command(self):
         assert parse_error_code(["verify-exp-law", "--model", "poisson", "--frobnicate"]) == 2
         assert parse_error_code([]) == 2

@@ -15,7 +15,10 @@ from jumptime.core import (
     RngStream,
     TimePoint,
     as_timepoint,
+    _exponentials_from_words,
+    _philox_first_words,
     draw_exponential,
+    draw_exponentials,
     exponential_from_uniform,
 )
 
@@ -188,3 +191,32 @@ class TestExponentialDraws:
         zs = np.array([draw_exponential(RngStream(11, k)) for k in range(20000)])
         # Exp(1) has mean 1 and variance 1; 5 sigma at n = 2e4 is 0.035.
         assert abs(zs.mean() - 1.0) < 0.036
+
+
+class TestVectorisedDraws:
+    """The numpy Philox port against the scalar reference ``RngStream``."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=8),
+    )
+    def test_port_matches_the_scalar_stream_bit_for_bit(self, seed, stream_ids):
+        words = _philox_first_words(seed, np.array(stream_ids, dtype=np.uint64))
+        got = _exponentials_from_words(words).tolist()
+        assert got == [draw_exponential(RngStream(seed, k)) for k in stream_ids]
+
+    def test_zero_word_takes_the_smallest_uniform(self):
+        # Word 0 gives u = 1, which the scalar path remaps to 2**-53.
+        got = _exponentials_from_words(np.array([0], dtype=np.uint64))
+        assert got.tolist() == [-math.log(2.0**-53)]
+
+    def test_block_equals_the_scalar_loop(self):
+        # 20000 draws span two blocks; numpy's SIMD log would differ on dozens.
+        n = 20_000
+        expected = [draw_exponential(RngStream(5, k)) for k in range(n)]
+        assert draw_exponentials(5, n).tolist() == expected
+
+    def test_seed_range_validated(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="64-bit"):
+                draw_exponentials(seed, 3)

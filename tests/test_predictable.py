@@ -15,6 +15,7 @@ from jumptime.predictable import (
     build_y_process,
     extract_strict_subsequence,
     make_announcing_sequence,
+    max_geometric_m,
     y_hitting_time,
 )
 
@@ -203,6 +204,21 @@ class TestMakeAnnouncingSequence:
             make_announcing_sequence(1.0, 0, GEOMETRIC)
         with pytest.raises(ValueError, match="scheme"):
             make_announcing_sequence(1.0, 3, "fibonacci")
+
+    def test_geometric_m_limit_is_named(self):
+        assert max_geometric_m(1.0) == 53
+        with pytest.raises(ValueError, match="m must be at most 53 .* got 60"):
+            make_announcing_sequence(1.0, 60, GEOMETRIC)
+        assert len(make_announcing_sequence(1.0, 60, HARMONIC)) == 60
+
+    @given(st.floats(min_value=1e-300, max_value=1e300))
+    def test_geometric_m_limit_is_the_last_usable_m(self, target):
+        limit = max_geometric_m(target)
+        y = build_y_process(extract_strict_subsequence(
+            make_announcing_sequence(target, limit, GEOMETRIC)))
+        assert y_hitting_time(y).value == target
+        with pytest.raises(ValueError, match=f"at most {limit} "):
+            make_announcing_sequence(target, limit + 1, GEOMETRIC)
 
     @given(
         st.sampled_from([GEOMETRIC, HARMONIC]),

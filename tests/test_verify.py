@@ -19,6 +19,7 @@ from jumptime.processes import (
 from jumptime.verify import (
     MARTINGALE_Z_LIMIT,
     InfiniteSampleError,
+    MartingaleReport,
     _Z_CACHE,
     default_time_grid,
     dkw_bound,
@@ -277,6 +278,14 @@ class TestMartingaleResidual:
         assert mean == pytest.approx(-(t**exponent), rel=1e-9)
         assert stderr == pytest.approx(math.sqrt(t**exponent / n), rel=1e-9)
         assert report.passed, report.max_abs_z
+
+    def test_grid_and_max_z_are_read_off_the_rows(self):
+        rows = ((0.1, 0.0, 0.0), (0.5, -0.3, 0.1), (1.0, 0.2, 0.1))
+        report = MartingaleReport("hand", 10, 1, rows)
+        assert report.time_grid == (0.1, 0.5, 1.0)
+        assert report.max_abs_z == 0.3 / 0.1
+        assert MartingaleReport("hand", 10, 1, rows + ((2.0, 1e-9, 0.0),)).max_abs_z == math.inf
+        assert MartingaleReport("hand", 10, 1, ()).max_abs_z == 0.0
 
     def test_json_schema(self):
         report = martingale_residual(poisson_model(1.0), 500, [0.5, 1.0], seed=2)
