@@ -6,133 +6,28 @@ unit exponential random variable.  The modules provide compensator forms and
 generalized inverses, a catalog of jump-time models, the Cox construction,
 announcing sequences for predictable times, and a Monte Carlo verification
 engine behind the ``jumptime`` command-line tool.
+
+The package exports each module's ``__all__``: a public name is declared
+once, in the module that defines it.
 """
 
-from .compensators import (
-    Compensator,
-    LinearCompensator,
-    PowerCompensator,
-    SaturatingExpCompensator,
-    StoppedCompensator,
-    TabulatedCompensator,
-    generalized_inverse,
-    load_tabulated_csv,
-    time_change_check,
-)
-from .core import (
-    CONSTANT,
-    INFINITY,
-    LINEAR,
-    CadlagPath,
-    RngStream,
-    TimePoint,
-    as_timepoint,
-    draw_exponential,
-    draw_exponentials,
-    exponential_from_uniform,
-)
-from .cox import CoxSample, cox_round_trip, cox_sample, cox_time
-from .predictable import (
-    GEOMETRIC,
-    HARMONIC,
-    AnnouncingSequence,
-    YProcess,
-    build_y_process,
-    extract_strict_subsequence,
-    make_announcing_sequence,
-    max_geometric_m,
-    y_hitting_time,
-)
-from .processes import (
-    C0_WITNESSES,
-    FellerReport,
-    IndicatorProcessLaw,
-    JumpModel,
-    build_model,
-    catalog_models,
-    catalog_names,
-    conditional_expectation_indicator,
-    ctmc_first_jump_model,
-    feller_check,
-    flat_compensator_model,
-    indicator_path,
-    inhomogeneous_model,
-    negative_control_model,
-    poisson_model,
-    semigroup_apply,
-)
-from .verify import (
-    ExpLawReport,
-    InfiniteSampleError,
-    MartingaleReport,
-    default_time_grid,
-    dkw_bound,
-    exp_law_verify,
-    ks_statistic,
-    martingale_residual,
-    ode_identity_check,
-    sample_a_tau,
-)
+from . import compensators, core, cox, predictable, processes, verify
+from .compensators import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .cox import *  # noqa: F401,F403
+from .predictable import *  # noqa: F401,F403
+from .processes import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnouncingSequence",
-    "C0_WITNESSES",
-    "CONSTANT",
-    "CadlagPath",
-    "Compensator",
-    "CoxSample",
-    "ExpLawReport",
-    "FellerReport",
-    "GEOMETRIC",
-    "HARMONIC",
-    "INFINITY",
-    "IndicatorProcessLaw",
-    "InfiniteSampleError",
-    "JumpModel",
-    "LINEAR",
-    "LinearCompensator",
-    "MartingaleReport",
-    "PowerCompensator",
-    "RngStream",
-    "SaturatingExpCompensator",
-    "StoppedCompensator",
-    "TabulatedCompensator",
-    "TimePoint",
-    "YProcess",
-    "as_timepoint",
-    "build_model",
-    "build_y_process",
-    "catalog_models",
-    "catalog_names",
-    "conditional_expectation_indicator",
-    "cox_round_trip",
-    "cox_sample",
-    "cox_time",
-    "ctmc_first_jump_model",
-    "default_time_grid",
-    "dkw_bound",
-    "draw_exponential",
-    "draw_exponentials",
-    "exp_law_verify",
-    "exponential_from_uniform",
-    "extract_strict_subsequence",
-    "feller_check",
-    "flat_compensator_model",
-    "generalized_inverse",
-    "indicator_path",
-    "inhomogeneous_model",
-    "ks_statistic",
-    "load_tabulated_csv",
-    "make_announcing_sequence",
-    "max_geometric_m",
-    "martingale_residual",
-    "negative_control_model",
-    "ode_identity_check",
-    "poisson_model",
-    "sample_a_tau",
-    "semigroup_apply",
-    "time_change_check",
-    "y_hitting_time",
-]
+__all__ = sorted(
+    {
+        *compensators.__all__,
+        *core.__all__,
+        *cox.__all__,
+        *predictable.__all__,
+        *processes.__all__,
+        *verify.__all__,
+    }
+)

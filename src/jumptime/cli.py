@@ -141,6 +141,8 @@ def parse_args(argv) -> argparse.Namespace:
     add_io(p)
 
     args = parser.parse_args(argv)
+    # Range errors show the subcommand's own usage line.
+    parser = sub.choices[args.command]
 
     if hasattr(args, "model"):
         if args.model not in catalog_names() and args.model != "negative-control":
@@ -152,17 +154,15 @@ def parse_args(argv) -> argparse.Namespace:
     if hasattr(args, "n"):
         if args.n < 1:
             parser.error(f"--n must be a positive integer, got {args.n}")
+        seed_source = "--seed" if args.seed is not None else SEED_ENV_VAR
         if args.seed is None:
-            env = os.environ.get(SEED_ENV_VAR)
-            if env is not None:
-                try:
-                    args.seed = int(env)
-                except ValueError:
-                    parser.error(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-            else:
-                args.seed = 42
+            env = os.environ.get(SEED_ENV_VAR, "42")
+            try:
+                args.seed = int(env)
+            except ValueError:
+                parser.error(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
         if not (0 <= args.seed < 2**64):
-            parser.error(f"--seed must lie in [0, 2**64), got {args.seed}")
+            parser.error(f"{seed_source} must lie in [0, 2**64), got {args.seed}")
         if args.workers < 1:
             parser.error(f"--workers must be a positive integer, got {args.workers}")
 
@@ -175,6 +175,8 @@ def parse_args(argv) -> argparse.Namespace:
     if args.command == "predictable-demo":
         if not args.target > 0.0:
             parser.error(f"--target must be positive, got {args.target}")
+        if args.target < sys.float_info.min:
+            parser.error(f"--target must be at least {sys.float_info.min}, got {args.target}")
         if args.m < 1:
             parser.error(f"--m must be a positive integer, got {args.m}")
         # An infinite target is refused by make_announcing_sequence itself.

@@ -26,7 +26,6 @@ __all__ = [
     "SaturatingExpCompensator",
     "StoppedCompensator",
     "TabulatedCompensator",
-    "generalized_inverse",
     "load_tabulated_csv",
     "time_change_check",
 ]
@@ -70,11 +69,6 @@ class Compensator(abc.ABC):
 
     def __call__(self, t: TimeLike) -> float:
         return self.evaluate(t)
-
-
-def generalized_inverse(A: Compensator, s: float) -> TimePoint:
-    """Module-level alias for ``A.inverse(s)``."""
-    return A.inverse(s)
 
 
 def _check_level(s: float) -> float:
@@ -344,13 +338,14 @@ class StoppedCompensator(Compensator):
         return np.where(ss > self.range_sup, math.inf, self.base.inverse_many(ss))
 
 
-def time_change_check(A: Compensator, tau: TimeLike, s: float, tol: float = VALUE_TOLERANCE) -> bool:
+def time_change_check(A: Compensator, tau: TimeLike, s: float) -> bool:
     """Check both sides of the time-change identities at (tau, s).
 
     Indicator identity ``1{A^{-1}(s) >= tau} == 1{s >= A(tau)}`` is compared
     exactly; the value identity ``s ^ A(tau) == A(A^{-1}(s) ^ tau)`` within
-    ``tol``.  Both hold almost surely for tau produced by the matching model;
-    a tau planted inside a flat piece of A can break the indicator side.
+    ``VALUE_TOLERANCE``.  Both hold almost surely for tau produced by the
+    matching model; a tau planted inside a flat piece of A can break the
+    indicator side.
     """
     tp = as_timepoint(tau)
     if not tp.is_finite:
@@ -366,7 +361,7 @@ def time_change_check(A: Compensator, tau: TimeLike, s: float, tol: float = VALU
 
     lhs = min(s, a_tau)
     rhs = A.evaluate(inv.min(tp))
-    values_match = abs(lhs - rhs) <= tol
+    values_match = abs(lhs - rhs) <= VALUE_TOLERANCE
 
     return indicators_match and values_match
 

@@ -188,14 +188,14 @@ class CadlagPath:
         return self.values[-1]
 
     @classmethod
-    def step(cls, jump_time: TimeLike, before: float = 0.0, after: float = 1.0) -> "CadlagPath":
-        """The path equal to ``before`` on [0, jump_time) and ``after`` afterwards."""
+    def step(cls, jump_time: TimeLike) -> "CadlagPath":
+        """The path equal to 0 on [0, jump_time) and 1 afterwards."""
         jt = as_timepoint(jump_time)
         if not jt.is_finite:
-            return cls((0.0,), (float(before),), ())
+            return cls((0.0,), (0.0,), ())
         if jt.value == 0.0:
-            return cls((0.0,), (float(after),), ())
-        return cls((0.0, jt.value), (float(before), float(after)), (CONSTANT,))
+            return cls((0.0,), (1.0,), ())
+        return cls((0.0, jt.value), (0.0, 1.0), (CONSTANT,))
 
     @classmethod
     def constant(cls, value: float) -> "CadlagPath":
@@ -275,9 +275,6 @@ class RngStream:
     def uniform_open(self) -> float:
         """Next uniform variate on (0, 1]."""
         return 1.0 - self._generator.random()
-
-    def substream(self, stream_id: int) -> "RngStream":
-        return RngStream(self.seed, stream_id)
 
 
 def exponential_from_uniform(u: float) -> float:

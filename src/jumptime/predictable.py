@@ -204,7 +204,9 @@ def make_announcing_sequence(target: TimeLike, m: int, scheme: str) -> Announcin
             )
         times = tuple(t - t * 2.0**-n for n in range(1, m + 1))
     elif scheme == HARMONIC:
-        times = tuple(t * n / (n + 1) for n in range(1, m + 1))
+        # Where t * m overflows, dividing t by 2**64 is exact and rounds the same way.
+        scale = 1.0 if t * m < math.inf else 2.0**64
+        times = tuple(t / scale * n / (n + 1) * scale for n in range(1, m + 1))
     else:
         raise ValueError(f"unknown scheme {scheme!r}; use {GEOMETRIC!r} or {HARMONIC!r}")
     return AnnouncingSequence(times, t)

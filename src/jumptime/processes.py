@@ -114,16 +114,6 @@ class IndicatorProcessLaw:
         if at_zero != 0.0:
             raise ValueError(f"tau_cdf(0) must be 0, got {at_zero}")
 
-    @classmethod
-    def exponential(cls, rate: float = 1.0) -> "IndicatorProcessLaw":
-        if not (math.isfinite(rate) and rate > 0.0):
-            raise ValueError(f"rate must be positive and finite, got {rate}")
-        return cls(lambda t: -math.expm1(-rate * t), description=f"Exp({rate:g})")
-
-    def jump_probability(self, t: float) -> float:
-        """P(tau <= t)."""
-        return self.tau_cdf(t)
-
 
 # --------------------------------------------------------------------------
 # model catalog
@@ -165,14 +155,14 @@ def inhomogeneous_model(cumulative_intensity: Compensator, name: str | None = No
     )
 
 
-def ctmc_first_jump_model(exit_rate: float, label: str = "initial") -> JumpModel:
+def ctmc_first_jump_model(exit_rate: float) -> JumpModel:
     """Holding time of a Markov-chain state: Exp(exit_rate), A(t) = exit_rate * t."""
     exit_rate = _check_rate(exit_rate, "exit_rate")
     return JumpModel(
         name=f"ctmc(exit_rate={exit_rate:g})",
         compensator=LinearCompensator(exit_rate),
         metadata=(
-            f"first jump out of state {label!r} of a continuous-time Markov chain; "
+            "first jump out of state 'initial' of a continuous-time Markov chain; "
             "the holding time is exponential with the exit rate"
         ),
     )
@@ -382,43 +372,28 @@ class FellerReport:
         }
 
 
-def feller_check(
-    law: IndicatorProcessLaw,
-    f: Callable[[float], float],
-    x_grid: tuple[float, ...] = DEFAULT_X_GRID,
-    t_schedule: tuple[float, ...] = DEFAULT_T_SCHEDULE,
-) -> FellerReport:
+def feller_check(law: IndicatorProcessLaw, f: Callable[[float], float]) -> FellerReport:
     """Probe the semigroup axioms for one witness function.
 
-    ``t_schedule`` must be strictly decreasing and positive; the axioms are
-    checked on ``x_grid`` with the tail bound taken from f's own values at
-    the grid extremes.
+    The axioms are checked on ``DEFAULT_X_GRID``, with the tail bound taken
+    from f's own values at the grid extremes, and strong continuity along the
+    strictly decreasing positive times ``DEFAULT_T_SCHEDULE``.
     """
-    x_grid = tuple(float(x) for x in x_grid)
-    t_schedule = tuple(float(t) for t in t_schedule)
-    if not x_grid:
-        raise ValueError("x_grid must be nonempty")
-    if not t_schedule:
-        raise ValueError("t_schedule must be nonempty")
-    if any(t <= 0.0 for t in t_schedule):
-        raise ValueError("t_schedule times must be positive")
-    if any(b >= a for a, b in zip(t_schedule, t_schedule[1:])):
-        raise ValueError("t_schedule must be strictly decreasing")
+    identity_max_error = max(abs(semigroup_apply(f, 0.0, x, law) - f(x)) for x in DEFAULT_X_GRID)
 
-    identity_max_error = max(abs(semigroup_apply(f, 0.0, x, law) - f(x)) for x in x_grid)
-
-    x_min, x_max = min(x_grid), max(x_grid)
+    x_min, x_max = min(DEFAULT_X_GRID), max(DEFAULT_X_GRID)
     tail_bound = max(abs(f(x)) for x in (x_min, x_min + 1.0, x_max, x_max + 1.0)) + 1e-15
     tail_value_max = max(
-        abs(semigroup_apply(f, t, x, law)) for t in t_schedule for x in (x_min, x_max)
+        abs(semigroup_apply(f, t, x, law)) for t in DEFAULT_T_SCHEDULE for x in (x_min, x_max)
     )
 
     e_sequence = tuple(
-        max(abs(semigroup_apply(f, t, x, law) - f(x)) for x in x_grid) for t in t_schedule
+        max(abs(semigroup_apply(f, t, x, law) - f(x)) for x in DEFAULT_X_GRID)
+        for t in DEFAULT_T_SCHEDULE
     )
 
-    max_abs_f = max(abs(f(x)) for x in x_grid)
-    e_final_bound = 2.0 * law.tau_cdf(t_schedule[-1]) * max_abs_f + 1e-15
+    max_abs_f = max(abs(f(x)) for x in DEFAULT_X_GRID)
+    e_final_bound = 2.0 * law.tau_cdf(DEFAULT_T_SCHEDULE[-1]) * max_abs_f + 1e-15
 
     return FellerReport(
         function_name=getattr(f, "__name__", repr(f)),

@@ -97,17 +97,14 @@ def ks_statistic(samples, reference_cdf) -> float:
     """Exact one-sample Kolmogorov-Smirnov distance to a fully-specified CDF.
 
     sup over sorted samples x_(i) of max(|i/n - F(x_(i))|, |(i-1)/n - F(x_(i))|).
+    ``reference_cdf`` is called once, on the whole sorted sample array, and
+    must return an array of the same shape (``exp1_cdf`` does).
     """
     xs = np.sort(np.asarray(samples, float))
     n = len(xs)
     if n == 0:
         raise ValueError("ks_statistic needs at least one sample")
-    try:
-        F = np.asarray(reference_cdf(xs), float)
-        if F.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        F = np.array([reference_cdf(float(x)) for x in xs])
+    F = np.asarray(reference_cdf(xs), float)
     i = np.arange(1, n + 1)
     upper = np.abs(i / n - F)
     lower = np.abs((i - 1) / n - F)

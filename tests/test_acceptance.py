@@ -30,7 +30,6 @@ from jumptime.predictable import (
 )
 from jumptime.processes import (
     C0_WITNESSES,
-    IndicatorProcessLaw,
     catalog_models,
     conditional_expectation_indicator,
     feller_check,
@@ -174,7 +173,7 @@ def test_criterion_07_generalized_inverse_identities():
 
 
 def test_criterion_08_feller_axioms():
-    law = IndicatorProcessLaw.exponential(1.0)
+    law = poisson_model(1.0).law()
     reports = [feller_check(law, f) for f in C0_WITNESSES]
     identity_ok = all(r.identity_max_error == 0.0 for r in reports)
     monotone_ok = all(r.nonincreasing for r in reports)
@@ -191,7 +190,7 @@ def test_criterion_08_feller_axioms():
 
 
 def test_criterion_09_conditional_expectation_tower():
-    law = IndicatorProcessLaw.exponential(1.0)
+    law = poisson_model(1.0).law()
     f = lambda y: y
     worst = 0.0
     for t, u in [(0.0, 1.0), (1.0, 2.0), (0.5, 3.0)]:

@@ -5,8 +5,11 @@ import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from jumptime.cli import KNOT_TOLERANCE, MARTINGALE_Z_LIMIT, main, parse_args
 from jumptime.verify import _Z_CACHE
@@ -82,6 +85,38 @@ class TestParseArgs:
         assert main(["predictable-demo", "--m", "53"]) == 0
         assert main(["predictable-demo", "--m", "60", "--scheme", "harmonic"]) == 0
 
+    def test_range_error_shows_the_subcommand_usage(self, capsys):
+        assert parse_error_code(["predictable-demo", "--m", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: jumptime predictable-demo"), err
+        assert "jumptime predictable-demo: error: --m must be a positive integer" in err
+
+    @given(
+        target=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        scheme=st.sampled_from(["geometric", "harmonic"]),
+        m=st.integers(min_value=1, max_value=64),
+    )
+    @example(target=1e308, scheme="harmonic", m=8)
+    @example(target=1.7976931348623157e308, scheme="harmonic", m=64)
+    @example(target=5e-324, scheme="geometric", m=8)
+    @example(target=5e-324, scheme="harmonic", m=8)
+    @example(target=2.2250738585072014e-308, scheme="harmonic", m=64)
+    def test_predictable_demo_at_float_extremes(self, target, scheme, m):
+        argv = ["predictable-demo", "--target", repr(target), "--m", str(m), "--scheme", scheme]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        if code == 0:
+            assert json.loads(out.getvalue())["hitting_time"] == target
+            return
+        assert code == 2, err.getvalue()
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert len(errors) == 1, err.getvalue()
+        assert "--target" in errors[0] or "--m" in errors[0], errors[0]
+
     def test_unknown_flag_and_missing_command(self):
         assert parse_error_code(["verify-exp-law", "--model", "poisson", "--frobnicate"]) == 2
         assert parse_error_code([]) == 2
@@ -94,6 +129,15 @@ class TestParseArgs:
         assert parse_error_code(["cox-demo", "--model", "poisson"]) == 2
         monkeypatch.delenv("JUMPTIME_SEED")
         assert parse_args(["cox-demo", "--model", "poisson"]).seed == 42
+
+    def test_out_of_range_env_seed_names_the_variable(self, monkeypatch, capsys):
+        monkeypatch.setenv("JUMPTIME_SEED", "-1")
+        assert parse_error_code(["verify-exp-law", "--model", "poisson"]) == 2
+        err = capsys.readouterr().err
+        assert "JUMPTIME_SEED must lie in [0, 2**64), got -1" in err
+        assert "--seed" not in err.splitlines()[-1]
+        assert parse_error_code(["verify-exp-law", "--model", "poisson", "--seed", "-1"]) == 2
+        assert "error: --seed must lie in [0, 2**64), got -1" in capsys.readouterr().err
 
 
 class TestRunExitCodes:

@@ -157,9 +157,6 @@ class TestRngStream:
             u = 1.0 - gen.random()
             assert 0.0 < u <= 1.0
 
-    def test_substream(self):
-        assert RngStream(9).substream(3) == RngStream(9, 3)
-
     def test_seed_range_validated(self):
         with pytest.raises(ValueError):
             RngStream(-1)

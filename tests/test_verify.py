@@ -51,13 +51,6 @@ class TestKsStatistic:
         own_ecdf = lambda x: np.searchsorted(np.sort(xs), x, side="right") / len(xs)
         assert ks_statistic(xs, own_ecdf) == pytest.approx(1.0 / len(xs), abs=1e-15)
 
-    def test_scalar_and_vector_references_agree(self):
-        xs = np.linspace(0.1, 3.0, 57)
-        scalar = lambda x: 1.0 - math.exp(-x)
-        assert ks_statistic(xs, scalar) == pytest.approx(
-            ks_statistic(xs, EXP1_CDF), abs=1e-15
-        )
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ks_statistic([], EXP1_CDF)
