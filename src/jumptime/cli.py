@@ -11,7 +11,10 @@ subcommand but ``cox-demo`` is a builder that returns a ``_Report`` (JSON
 document, CSV rows, verdict, optional stderr summary), and ``_write`` alone
 chooses the format and maps the verdict to the exit status.  The verdicts are
 the reports' own (``ExpLawReport.passed``, ``MartingaleReport.passed``, the
-Feller reports' ``passed``).  ``cox-demo`` streams its rows, one per sample.
+Feller reports' ``passed``).  ``cox-demo`` streams its rows, one per sample,
+from ``cox.cox_samples``: Exp(1) levels in vectorised Philox blocks, each
+mapped through the scalar compensator methods, so every row equals
+``cox_sample(A, RngStream(seed, k)).to_json_dict()``.
 
 Exit status contract: 0 all checks passed, 1 a verification honestly failed,
 2 usage error, 3 runtime error (including an infinite jump-time draw, a jump
@@ -29,8 +32,9 @@ import sys
 from contextlib import contextmanager
 from typing import NamedTuple, Optional
 
-from .core import RngStream
-from .cox import cox_sample
+# cox_sample is not called here; it stays bound as the scalar reference at
+# this lookup site, which bench/tracer.py wraps.
+from .cox import cox_sample, cox_samples  # noqa: F401
 from .predictable import (
     GEOMETRIC,
     HARMONIC,
@@ -280,7 +284,11 @@ def _predictable_demo(args: argparse.Namespace) -> _Report:
 
 
 def _cox_demo(args: argparse.Namespace) -> int:
-    """Stream one row per sample; buffering a whole report would cost memory."""
+    """Write one row per sample of ``cox_samples`` as it is produced.
+
+    Memory stays flat in ``--n``, and the rows drawn before a mid-stream
+    error (a jump time that overflows a float) are still written.
+    """
     model = build_model(args.model, args.params)
     with _open_out(args.out) as fh:
         if args.format == "csv":
@@ -289,8 +297,8 @@ def _cox_demo(args: argparse.Namespace) -> int:
             write_row = lambda d: writer.writerow(d.values())
         else:
             write_row = lambda d: fh.write(json.dumps(d) + "\n")
-        for k in range(args.n):
-            write_row(cox_sample(model.compensator, RngStream(args.seed, k)).to_json_dict())
+        for sample in cox_samples(model.compensator, args.seed, args.n):
+            write_row(sample.to_json_dict())
     return 0
 
 

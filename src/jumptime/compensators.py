@@ -105,7 +105,11 @@ class LinearCompensator(Compensator):
         return self.rate * _check_nonnegative(ts, "times")
 
     def inverse(self, s: float) -> TimePoint:
-        return TimePoint(_check_level(s) / self.rate)
+        tau = _check_level(s) / self.rate
+        if math.isinf(tau) and math.isfinite(s):
+            # The true tau is finite, so INFINITY would be a wrong answer.
+            raise OverflowError(f"jump time overflows a float: level {s} / rate {self.rate}")
+        return TimePoint(tau)
 
     def inverse_many(self, ss):
         return _check_nonnegative(ss) / self.rate

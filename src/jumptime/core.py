@@ -7,12 +7,14 @@ immutable value, safe to share between threads and to split across
 replications by stream id.
 
 ``RngStream`` is the scalar reference: one numpy Philox4x64-10 generator keyed
-by ``(seed, stream_id)``.  ``draw_exponentials`` is a pure-numpy port of the
+by ``(seed, stream_id)``.  ``exponential_blocks`` is a pure-numpy port of the
 same generator's first output word (Salmon, Moraes, Dror & Shaw, "Parallel
-Random Numbers: As Easy as 1, 2, 3", SC'11) that computes the first Exp(1)
+Random Numbers: As Easy as 1, 2, 3", SC'11) that yields the first Exp(1)
 draw of streams 0..n-1 in vectorised blocks, bit for bit equal to
 ``draw_exponential(RngStream(seed, k))``: the 128-bit products come from
-32-bit halves, and the log is libm's, element by element.
+32-bit halves, and the log is libm's, element by element.  The streaming
+Cox sampler consumes the blocks one at a time; ``draw_exponentials`` gathers
+them into one array for the verifiers.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "as_timepoint",
     "draw_exponential",
     "draw_exponentials",
+    "exponential_blocks",
     "exponential_from_uniform",
 ]
 
@@ -349,18 +352,26 @@ def _exponentials_from_words(words: np.ndarray) -> np.ndarray:
     return -np.fromiter(map(math.log, u.tolist()), float, len(u))
 
 
-def draw_exponentials(seed: int, n: int) -> np.ndarray:
-    """``draw_exponential(RngStream(seed, k))`` for k = 0..n-1, bit for bit.
+def exponential_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
+    """``draw_exponential(RngStream(seed, k))`` for k = 0..n-1, in blocks.
 
-    Philox is counter-based, so each stream's first draw is a pure function
-    of ``(seed, k)`` and all n are computed in vectorised blocks instead of
-    building n generators.
+    Yields consecutive arrays of at most ``_DRAW_BLOCK`` draws, computing each
+    block only when it is asked for, so memory stays flat in n.  Philox is
+    counter-based, so each stream's first draw is a pure function of
+    ``(seed, k)`` and a block of ids is computed without building a
+    generator per id.
     """
     _check_seed(seed)
-    out = np.empty(n)
     for start in range(0, n, _DRAW_BLOCK):
         ids = np.arange(start, min(start + _DRAW_BLOCK, n), dtype=np.uint64)
-        out[start : start + len(ids)] = _exponentials_from_words(
-            _philox_first_words(int(seed), ids)
-        )
+        yield _exponentials_from_words(_philox_first_words(int(seed), ids))
+
+
+def draw_exponentials(seed: int, n: int) -> np.ndarray:
+    """``draw_exponential(RngStream(seed, k))`` for k = 0..n-1, bit for bit, as one array."""
+    out = np.empty(n)
+    start = 0
+    for block in exponential_blocks(seed, n):
+        out[start : start + len(block)] = block
+        start += len(block)
     return out

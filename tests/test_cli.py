@@ -12,6 +12,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jumptime.cli import KNOT_TOLERANCE, MARTINGALE_Z_LIMIT, main, parse_args
+from jumptime.core import _DRAW_BLOCK, RngStream
+from jumptime.cox import cox_sample
+from jumptime.processes import build_model
 from jumptime.verify import _Z_CACHE
 
 
@@ -178,6 +181,35 @@ class TestRunExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert "exponent 0.001" in lines[0]
 
+    @pytest.mark.parametrize("model,param", [("poisson", "rate=1e-320"),
+                                             ("ctmc", "exit_rate=1e-310")])
+    def test_overflowing_linear_jump_time_is_three(self, model, param):
+        # Finite levels over a tiny rate overflow; this is not an infinite tau.
+        cmd = [sys.executable, "-m", "jumptime.cli", "cox-demo", "--model", model,
+               "--param", param, "--n", "5"]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "jump time overflows a float" in lines[0]
+        assert f"rate {param.partition('=')[2]}" in lines[0]
+
+    def test_overflowing_stream_keeps_the_rows_before_it(self):
+        cmd = [sys.executable, "-m", "jumptime.cli", "cox-demo", "--model", "power",
+               "--param", "exponent=0.001", "--n", "50", "--seed", "42"]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.returncode == 3
+        A = build_model("power", {"exponent": 0.001}).compensator
+        expected = []
+        for k in range(50):
+            try:
+                expected.append(json.dumps(cox_sample(A, RngStream(42, k)).to_json_dict()))
+            except OverflowError:
+                break
+        assert 0 < len(expected) < 50
+        assert proc.stdout == "".join(line + "\n" for line in expected)
+
     def test_martingale_pass_is_zero(self, capsys):
         code = main(
             ["verify-martingale", "--model", "ctmc", "--param", "exit_rate=3",
@@ -329,6 +361,38 @@ class TestOneWriterContract:
             lines = captured.err.splitlines()
             assert len(lines) == 1
             assert summary_verdict(command, lines[0]) is expected
+
+
+def assert_same_lines(got: str, expected: str) -> None:
+    """Byte equality that names the first differing line, not a diff of megabytes."""
+    got_lines, expected_lines = got.splitlines(True), expected.splitlines(True)
+    for k, (a, b) in enumerate(zip(got_lines, expected_lines)):
+        assert a == b, f"line {k}: {a!r} != {b!r}"
+    assert len(got_lines) == len(expected_lines)
+
+
+class TestCoxDemoBytes:
+    """``cox-demo`` rows against ``cox_sample(...).to_json_dict()``, byte for byte."""
+
+    @pytest.mark.parametrize("model", ["flat", "power"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rows_across_a_block_boundary(self, capsys, model, fmt):
+        n, seed = _DRAW_BLOCK + 5, 2**64 - 1
+        assert main(["cox-demo", "--model", model, "--n", str(n), "--seed", str(seed),
+                     "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        A = build_model(model).compensator
+        rows = [cox_sample(A, RngStream(seed, k)).to_json_dict() for k in range(n)]
+        if fmt == "json":
+            expected = "".join(json.dumps(row) + "\n" for row in rows)
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(("z", "tau", "a_at_tau", "seed", "stream_id"))
+            writer.writerows(row.values() for row in rows)
+            expected = buf.getvalue()
+        assert_same_lines(captured.out, expected)
 
 
 class TestDeterminism:

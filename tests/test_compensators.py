@@ -103,6 +103,20 @@ class TestLinear:
             with pytest.raises(ValueError):
                 LinearCompensator(rate)
 
+    def test_overflowing_inverse_names_rate_and_level(self):
+        # 1 / 1e-320 is finite in exact arithmetic; INFINITY would be wrong.
+        with pytest.raises(OverflowError, match=r"level 1\.0 / rate 1e-320"):
+            LinearCompensator(1e-320).inverse(1.0)
+        with pytest.raises(OverflowError, match=r"level 2\.0 / rate 1e-308"):
+            LinearCompensator(1e-308).inverse(2.0)
+
+    def test_infinite_level_still_maps_to_infinity(self):
+        for rate in (1e-320, 1.0):
+            assert LinearCompensator(rate).inverse(math.inf) == INFINITY
+
+    def test_tiny_rate_below_the_overflow_is_finite(self):
+        assert LinearCompensator(1e-320).inverse(1e-20) == TimePoint(1e-20 / 1e-320)
+
     @given(st.floats(min_value=1e-6, max_value=1e6), st.floats(min_value=1e-6, max_value=1e6))
     def test_inverse_is_generalized_inverse(self, rate, s):
         A = LinearCompensator(rate)

@@ -15,10 +15,12 @@ from jumptime.core import (
     RngStream,
     TimePoint,
     as_timepoint,
+    _DRAW_BLOCK,
     _exponentials_from_words,
     _philox_first_words,
     draw_exponential,
     draw_exponentials,
+    exponential_blocks,
     exponential_from_uniform,
 )
 
@@ -217,3 +219,10 @@ class TestVectorisedDraws:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="64-bit"):
                 draw_exponentials(seed, 3)
+
+    def test_blocks_split_the_array(self):
+        n = 2 * _DRAW_BLOCK + 3
+        blocks = list(exponential_blocks(9, n))
+        assert [len(b) for b in blocks] == [_DRAW_BLOCK, _DRAW_BLOCK, 3]
+        assert np.concatenate(blocks).tolist() == draw_exponentials(9, n).tolist()
+        assert list(exponential_blocks(9, 0)) == []

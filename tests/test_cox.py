@@ -6,14 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jumptime import core
 from jumptime.compensators import (
     LinearCompensator,
     PowerCompensator,
     SaturatingExpCompensator,
 )
 from jumptime.core import INFINITY, RngStream, TimePoint
-from jumptime.cox import cox_round_trip, cox_sample, cox_time
+from jumptime.cox import cox_round_trip, cox_sample, cox_samples, cox_time
 from jumptime.processes import catalog_models, flat_compensator_model
+
+#: Every catalog compensator, plus a bounded one whose high levels are never hit.
+STREAM_COMPENSATORS = [m.compensator for m in catalog_models()] + [
+    SaturatingExpCompensator(limit=0.5, rate=1.0)
+]
 
 
 class TestCoxTime:
@@ -84,6 +90,49 @@ class TestCoxSample:
         A = SaturatingExpCompensator(limit=1e-9, rate=1.0)
         d = cox_sample(A, RngStream(0, 0)).to_json_dict()
         assert d["tau"] == "infinity"
+
+
+class TestCoxSamples:
+    """The block stream against the per-row scalar reference."""
+
+    @given(
+        st.sampled_from(STREAM_COMPENSATORS),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_equals_the_scalar_reference(self, A, seed, n, block):
+        # A small block makes most cases cross one or more block boundaries.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_DRAW_BLOCK", block)
+            got = list(cox_samples(A, seed, n))
+        assert got == [cox_sample(A, RngStream(seed, k)) for k in range(n)]
+
+    def test_bounded_compensator_streams_infinite_rows(self):
+        A = STREAM_COMPENSATORS[-1]
+        rows = [s.to_json_dict() for s in cox_samples(A, 3, 50)]
+        assert any(row["tau"] == "infinity" for row in rows)
+        assert any(row["tau"] != "infinity" for row in rows)
+
+    def test_first_sample_draws_one_block(self, monkeypatch):
+        calls = []
+        first_words = core._philox_first_words
+
+        def counting(seed, ids):
+            calls.append(len(ids))
+            # An eager stream would go on to 10**12 draws; stop it at once.
+            assert len(calls) == 1, "a second block was drawn"
+            return first_words(seed, ids)
+
+        monkeypatch.setattr(core, "_philox_first_words", counting)
+        A = LinearCompensator(1.0)
+        assert next(cox_samples(A, 0, 10**12)) == cox_sample(A, RngStream(0, 0))
+        assert calls == [core._DRAW_BLOCK]
+
+    def test_seed_range_validated(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="64-bit"):
+                next(cox_samples(LinearCompensator(1.0), seed, 3))
 
 
 class TestRoundTrip:
