@@ -104,15 +104,26 @@ class LinearCompensator(Compensator):
     def evaluate_many(self, ts):
         return self.rate * _check_nonnegative(ts, "times")
 
+    def _overflow(self, s: float) -> OverflowError:
+        # The true tau is finite, so INFINITY would be a wrong answer.
+        return OverflowError(f"jump time overflows a float: level {s} / rate {self.rate}")
+
     def inverse(self, s: float) -> TimePoint:
         tau = _check_level(s) / self.rate
         if math.isinf(tau) and math.isfinite(s):
-            # The true tau is finite, so INFINITY would be a wrong answer.
-            raise OverflowError(f"jump time overflows a float: level {s} / rate {self.rate}")
+            raise self._overflow(s)
         return TimePoint(tau)
 
     def inverse_many(self, ss):
-        return _check_nonnegative(ss) / self.rate
+        ss = _check_nonnegative(ss)
+        with np.errstate(over="ignore"):
+            taus = ss / self.rate
+        overflowed = np.isinf(taus)
+        if overflowed.any():
+            finite_levels = overflowed & np.isfinite(ss)
+            if finite_levels.any():
+                raise self._overflow(float(ss[finite_levels.argmax()]))
+        return taus
 
 
 @dataclass(frozen=True)
@@ -339,7 +350,10 @@ class StoppedCompensator(Compensator):
 
     def inverse_many(self, ss):
         ss = _check_nonnegative(ss)
-        return np.where(ss > self.range_sup, math.inf, self.base.inverse_many(ss))
+        # As in inverse, a level above range_sup never reaches the base, where
+        # it could overflow although its answer is INFINITY.
+        never = ss > self.range_sup
+        return np.where(never, math.inf, self.base.inverse_many(np.where(never, 0.0, ss)))
 
 
 def time_change_check(A: Compensator, tau: TimeLike, s: float) -> bool:

@@ -6,9 +6,12 @@ infimum returns tau itself (the round trip), and A(tau) recovers Z whenever
 tau is finite, because a continuous A attains the level it crosses.
 
 ``cox_sample`` draws one level from one ``RngStream``, the scalar reference.
-``cox_samples`` yields the same samples for stream ids 0..n-1, taking the
-levels from vectorised Philox blocks; both map a level to a sample through
-the scalar ``cox_time`` and ``A.evaluate``, so their rows agree bit for bit.
+``cox_samples`` yields the same samples for stream ids 0..n-1.  It and the
+``cox-demo`` writer share one block loop, ``_cox_blocks``: the levels come
+from vectorised Philox blocks, and each is mapped through the same scalar
+``A.inverse`` and ``A.evaluate`` as ``cox_sample``, so their rows agree bit
+for bit.  ``CoxSample.to_json_dict`` is the reference form of a row, and
+``_COX_FORMATS`` holds the same row as the templates ``cox-demo`` writes.
 """
 
 from __future__ import annotations
@@ -55,6 +58,23 @@ class CoxSample:
         }
 
 
+#: ``to_json_dict``'s rows as ``cox-demo`` writes them, per format: the
+#: header, the row template with its SEED still to be filled in (a decimal
+#: integer needs no JSON escaping or CSV quoting), and an infinite tau.  The
+#: floats come as their ``repr``, which is what ``json.dumps`` and
+#: ``csv.writer`` emit for finite floats; z and a_at_tau are always finite
+#: (a_at_tau is z up to roundoff, or the compensator's finite supremum when
+#: tau is infinite).
+_COX_FORMATS = {
+    "json": (
+        "",
+        '{"z": %s, "tau": %s, "a_at_tau": %s, "seed": "SEED", "stream_id": %d}\n',
+        '"infinity"',
+    ),
+    "csv": ("z,tau,a_at_tau,seed,stream_id\n", "%s,%s,%s,SEED,%d\n", "infinity"),
+}
+
+
 def cox_time(A: Compensator, z: float) -> TimePoint:
     """tau = inf{t >= 0 : A(t) >= z}; INFINITY when the level is never reached."""
     z = float(z)
@@ -63,25 +83,43 @@ def cox_time(A: Compensator, z: float) -> TimePoint:
     return A.inverse(z)
 
 
-def _sample_at(A: Compensator, z: float, stream: RngStream) -> CoxSample:
+def cox_sample(A: Compensator, stream: RngStream) -> CoxSample:
+    """Draw Z ~ Exp(1) from the stream and build the jump time."""
+    z = draw_exponential(stream)
     tau = cox_time(A, z)
     return CoxSample(z=z, tau=tau, a_at_tau=A.evaluate(tau), stream=stream)
 
 
-def cox_sample(A: Compensator, stream: RngStream) -> CoxSample:
-    """Draw Z ~ Exp(1) from the stream and build the jump time."""
-    return _sample_at(A, draw_exponential(stream), stream)
+def _map_levels(A: Compensator, zs: list) -> Iterator[tuple[float, TimePoint, float]]:
+    inverse, evaluate = A.inverse, A.evaluate
+    for z in zs:
+        tau = inverse(z)
+        yield z, tau, evaluate(tau)
+
+
+def _cox_blocks(
+    A: Compensator, seed: int, n: int
+) -> Iterator[Iterator[tuple[float, TimePoint, float]]]:
+    """``(z, tau, a_at_tau)`` of stream ids 0..n-1, one ``_DRAW_BLOCK`` at a time.
+
+    Each block's levels come from ``exponential_blocks``; every level is
+    positive, so ``cox_time``'s check is skipped and it goes straight to the
+    scalar ``A.inverse``.  A block maps its levels lazily, so the rows before
+    a mid-block error (a jump time that overflows a float) are still seen.
+    """
+    for block in exponential_blocks(seed, n):
+        yield _map_levels(A, block.tolist())
 
 
 def cox_samples(A: Compensator, seed: int, n: int) -> Iterator[CoxSample]:
     """``cox_sample(A, RngStream(seed, k))`` for k = 0..n-1, lazily.
 
-    The levels come one block at a time from ``exponential_blocks``, so
-    memory stays flat in n; each sample is built as it is asked for.
+    The levels come one block at a time, so memory stays flat in n; each
+    sample is built as it is asked for.
     """
-    levels = chain.from_iterable(block.tolist() for block in exponential_blocks(seed, n))
-    for k, z in enumerate(levels):
-        yield _sample_at(A, z, RngStream(seed, k))
+    rows = chain.from_iterable(_cox_blocks(A, seed, n))
+    for k, (z, tau, a_at_tau) in enumerate(rows):
+        yield CoxSample(z=z, tau=tau, a_at_tau=a_at_tau, stream=RngStream(seed, k))
 
 
 def cox_round_trip(A: Compensator, tau: TimeLike) -> TimePoint:

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from jumptime.cli import KNOT_TOLERANCE, MARTINGALE_Z_LIMIT, main, parse_args
+from jumptime import core
+from jumptime.cli import KNOT_TOLERANCE, MARTINGALE_Z_LIMIT, _write_cox_rows, main, parse_args
+from jumptime.compensators import SaturatingExpCompensator
 from jumptime.core import _DRAW_BLOCK, RngStream
 from jumptime.cox import cox_sample
 from jumptime.processes import build_model
@@ -195,6 +197,22 @@ class TestRunExitCodes:
         assert "jump time overflows a float" in lines[0]
         assert f"rate {param.partition('=')[2]}" in lines[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-exp-law", "--model", "poisson", "--param", "rate=1e-320"],
+        ["verify-martingale", "--model", "ctmc", "--param", "exit_rate=1e-310"],
+    ], ids=["exp-law-poisson", "martingale-ctmc"])
+    def test_overflowing_linear_array_path_is_three(self, argv):
+        # The array inverse names the overflow; it is not an infinite jump time.
+        cmd = [sys.executable, "-m", "jumptime.cli", *argv, "--n", "1000"]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert "RuntimeWarning" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "jump time overflows a float" in lines[0]
+        assert f"rate {argv[-1].partition('=')[2]}" in lines[0]
+
     def test_overflowing_stream_keeps_the_rows_before_it(self):
         cmd = [sys.executable, "-m", "jumptime.cli", "cox-demo", "--model", "power",
                "--param", "exponent=0.001", "--n", "50", "--seed", "42"]
@@ -371,10 +389,30 @@ def assert_same_lines(got: str, expected: str) -> None:
     assert len(got_lines) == len(expected_lines)
 
 
+def _overflows(A, stream) -> bool:
+    try:
+        cox_sample(A, stream)
+    except OverflowError:
+        return True
+    return False
+
+
+def reference_rows(A, seed: int, stream_ids, fmt: str) -> str:
+    """``cox-demo``'s output for these streams, written the reference way."""
+    rows = [cox_sample(A, RngStream(seed, k)).to_json_dict() for k in stream_ids]
+    if fmt == "json":
+        return "".join(json.dumps(row) + "\n" for row in rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("z", "tau", "a_at_tau", "seed", "stream_id"))
+    writer.writerows(row.values() for row in rows)
+    return buf.getvalue()
+
+
 class TestCoxDemoBytes:
     """``cox-demo`` rows against ``cox_sample(...).to_json_dict()``, byte for byte."""
 
-    @pytest.mark.parametrize("model", ["flat", "power"])
+    @pytest.mark.parametrize("model", ["flat", "power", "poisson", "ctmc", "negative-control"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_rows_across_a_block_boundary(self, capsys, model, fmt):
         n, seed = _DRAW_BLOCK + 5, 2**64 - 1
@@ -383,16 +421,32 @@ class TestCoxDemoBytes:
         captured = capsys.readouterr()
         assert captured.err == ""
         A = build_model(model).compensator
-        rows = [cox_sample(A, RngStream(seed, k)).to_json_dict() for k in range(n)]
-        if fmt == "json":
-            expected = "".join(json.dumps(row) + "\n" for row in rows)
-        else:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(("z", "tau", "a_at_tau", "seed", "stream_id"))
-            writer.writerows(row.values() for row in rows)
-            expected = buf.getvalue()
-        assert_same_lines(captured.out, expected)
+        assert_same_lines(captured.out, reference_rows(A, seed, range(n), fmt))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_infinite_rows_of_a_bounded_compensator(self, monkeypatch, fmt):
+        monkeypatch.setattr(core, "_DRAW_BLOCK", 7)
+        A, seed, n = SaturatingExpCompensator(0.5, 1.0), 3, 50
+        buf = io.StringIO()
+        _write_cox_rows(buf, A, seed, n, fmt)
+        expected = reference_rows(A, seed, range(n), fmt)
+        assert_same_lines(buf.getvalue(), expected)
+        assert 0 < expected.count("infinity") < n
+
+    def test_overflow_mid_block_keeps_the_rows_before_it(self, monkeypatch, tmp_path, capsys):
+        # Blocks of 8: the first overflowing stream, 29, is the sixth of the
+        # fourth block, so the rows before it are only in a partial block.
+        monkeypatch.setattr(core, "_DRAW_BLOCK", 8)
+        A, seed, n = build_model("power", {"exponent": 0.001}).compensator, 2, 50
+        first = 0
+        while not _overflows(A, RngStream(seed, first)):
+            first += 1
+        assert first == 29
+        path = tmp_path / "rows.json"
+        assert main(["cox-demo", "--model", "power", "--param", "exponent=0.001",
+                     "--n", str(n), "--seed", str(seed), "--out", str(path)]) == 3
+        assert "jump time overflows a float" in capsys.readouterr().err
+        assert_same_lines(path.read_text(), reference_rows(A, seed, range(first), "json"))
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Compensator forms, generalized inverses, and the time-change identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,9 +111,20 @@ class TestLinear:
         with pytest.raises(OverflowError, match=r"level 2\.0 / rate 1e-308"):
             LinearCompensator(1e-308).inverse(2.0)
 
+    def test_overflowing_array_inverse_names_rate_and_level(self):
+        # The first finite level whose quotient overflows, as the scalar path names it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"level 1\.0 / rate 1e-320"):
+                LinearCompensator(1e-320).inverse_many(np.array([math.inf, 1e-30, 1.0, 2.0]))
+            with pytest.raises(OverflowError, match=r"level 2\.0 / rate 1e-308"):
+                LinearCompensator(1e-308).inverse_many(np.array([1.0, 2.0]))
+
     def test_infinite_level_still_maps_to_infinity(self):
         for rate in (1e-320, 1.0):
             assert LinearCompensator(rate).inverse(math.inf) == INFINITY
+            taus = LinearCompensator(rate).inverse_many(np.array([math.inf, 1e-30]))
+            assert taus[0] == math.inf and math.isfinite(taus[1])
 
     def test_tiny_rate_below_the_overflow_is_finite(self):
         assert LinearCompensator(1e-320).inverse(1e-20) == TimePoint(1e-20 / 1e-320)
@@ -235,6 +247,12 @@ class TestStopped:
         assert A.inverse(1.5) == TimePoint(1.5)
         assert A.inverse(2.0) == TimePoint(2.0)
         assert A.inverse(2.5) == INFINITY
+
+    def test_levels_above_the_supremum_never_reach_the_base(self):
+        # Both paths answer INFINITY; the base alone would overflow on 0.5.
+        A = LinearCompensator(1e-320).stop(1e300)
+        assert A.inverse(0.5) == INFINITY
+        assert A.inverse_many(np.array([0.5]))[0] == math.inf
 
     def test_infinite_stop_changes_nothing(self):
         A = LinearCompensator(3.0).stop(INFINITY)
