@@ -275,6 +275,13 @@ class TabulatedCompensator(Compensator):
         tail = values[-1] + slope * (ts - times[-1])
         return np.where(ts >= times[-1], tail, out)
 
+    def _overflow(self, s: float) -> OverflowError:
+        # The true tau is finite, so INFINITY would be a wrong answer.
+        return OverflowError(
+            f"jump time overflows a float: level {s} / extrapolation slope "
+            f"{self.extrapolation_slope}"
+        )
+
     def inverse(self, s: float) -> TimePoint:
         s = _check_level(s)
         if s == 0.0:
@@ -282,7 +289,10 @@ class TabulatedCompensator(Compensator):
         if s > self.values[-1]:
             slope = self.extrapolation_slope or 0.0
             if slope > 0.0:
-                return TimePoint(self.times[-1] + (s - self.values[-1]) / slope)
+                tau = self.times[-1] + (s - self.values[-1]) / slope
+                if math.isinf(tau) and math.isfinite(s):
+                    raise self._overflow(s)
+                return TimePoint(tau)
             return INFINITY
         j = bisect_left(self.values, s)
         if self.values[j] == s:
@@ -306,7 +316,11 @@ class TabulatedCompensator(Compensator):
         if np.any(above):
             slope = self.extrapolation_slope or 0.0
             if slope > 0.0:
-                tail = times[-1] + (ss - values[-1]) / slope
+                with np.errstate(over="ignore"):
+                    tail = times[-1] + (ss - values[-1]) / slope
+                overflowed = above & np.isinf(tail) & np.isfinite(ss)
+                if overflowed.any():
+                    raise self._overflow(float(ss[overflowed.argmax()]))
             else:
                 tail = np.full_like(ss, math.inf)
             out = np.where(above, tail, out)

@@ -8,6 +8,13 @@ integral identity F(t) = t - 1 + e^{-t} satisfied by F(t) = int_0^t P(Z <= s) ds
 screens for atoms, and separately checks the zero-mean martingale residual
 1_{t >= tau} - A(t ^ tau).
 
+Each statistic is computed once.  The exponential-law check sorts its samples
+once and reads the KS statistic, the ECDF grid, the largest atom (the longest
+run of equal sorted values) and the integral identity off that one array.
+The martingale check evaluates A(tau) once per call; A(t ^ tau) at each grid
+time t is A(tau) where tau <= t and the array evaluation of A(t) elsewhere,
+which has the same bits because ``evaluate_many`` is elementwise.
+
 Replication k always uses the random stream with stream_id = k, and results
 are assembled in stream order, so reports are bitwise reproducible.  The n
 draws come from one vectorised Philox pass (``core.draw_exponentials``) that
@@ -100,7 +107,11 @@ def ks_statistic(samples, reference_cdf) -> float:
     ``reference_cdf`` is called once, on the whole sorted sample array, and
     must return an array of the same shape (``exp1_cdf`` does).
     """
-    xs = np.sort(np.asarray(samples, float))
+    return _ks_sorted(np.sort(np.asarray(samples, float)), reference_cdf)
+
+
+def _ks_sorted(xs: np.ndarray, reference_cdf) -> float:
+    """``ks_statistic`` of samples already sorted ascending."""
     n = len(xs)
     if n == 0:
         raise ValueError("ks_statistic needs at least one sample")
@@ -126,7 +137,11 @@ def ode_identity_check(samples, grid) -> float:
     For nonnegative samples the integral is exactly (1/n) sum_i max(0, t - x_i),
     k * t minus the sum of the k sorted samples at or below t: no mesh error.
     """
-    xs = np.sort(np.asarray(samples, float))
+    return _ode_identity_sorted(np.sort(np.asarray(samples, float)), grid)
+
+
+def _ode_identity_sorted(xs: np.ndarray, grid) -> float:
+    """``ode_identity_check`` of samples already sorted ascending."""
     n = len(xs)
     if n == 0:
         raise ValueError("ode_identity_check needs at least one sample")
@@ -138,6 +153,12 @@ def ode_identity_check(samples, grid) -> float:
     estimate = (ks * ts - below) / n
     reference = ts + np.expm1(-ts)
     return float(np.max(np.abs(estimate - reference), initial=0.0))
+
+
+def _longest_run(xs: np.ndarray) -> int:
+    """Length of the longest run of equal values in a nonempty sorted array."""
+    starts = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    return int(np.diff(starts, prepend=0, append=len(xs)).max())
 
 
 @dataclass(frozen=True)
@@ -186,7 +207,7 @@ def exp_law_verify(model: JumpModel, n: int, alpha: float, seed: int) -> ExpLawR
     """Sample A(tau) and test it against the unit exponential law."""
     bound = dkw_bound(n, alpha)
     a_sorted = np.sort(sample_a_tau(model, n, seed))
-    ks = ks_statistic(a_sorted, exp1_cdf)
+    ks = _ks_sorted(a_sorted, exp1_cdf)
 
     levels = (np.arange(1, 51) - 0.5) / 50.0
     ts = -np.log1p(-levels)
@@ -194,10 +215,8 @@ def exp_law_verify(model: JumpModel, n: int, alpha: float, seed: int) -> ExpLawR
     refs = exp1_cdf(ts)
     grid = tuple((float(t), float(e), float(r)) for t, e, r in zip(ts, ecdf_at, refs))
 
-    _, counts = np.unique(a_sorted, return_counts=True)
-    max_atom = float(counts.max()) / n
-
-    ode_err = ode_identity_check(a_sorted, (0.5, 1.0, 2.0))
+    max_atom = _longest_run(a_sorted) / n
+    ode_err = _ode_identity_sorted(a_sorted, (0.5, 1.0, 2.0))
 
     return ExpLawReport(
         model_name=model.name,
@@ -285,14 +304,26 @@ def martingale_residual(
         raise ValueError("grid times must be finite and nonnegative")
     zs = _exponential_draws(seed, n)
     taus = _finite_taus(model, zs)
+    A = model.compensator
 
+    # A(t ^ tau) is A(tau) where tau <= t and A(t) elsewhere.  A is evaluated
+    # at min(tau, largest grid time), and at t only when some tau exceeds t:
+    # the same times as evaluating A(min(tau, t)) for every t, so the values
+    # and any overflow warning are the same.  Both come from evaluate_many,
+    # which is elementwise, so they have the bits of A over the stopped array;
+    # the scalar evaluate uses libm and can differ in the last bit.
+    a_tau = A.evaluate_many(np.minimum(taus, max(grid, default=0.0)))
     rows = []
     for t in grid:
-        indicator = (taus <= t).astype(float)
-        stopped = np.minimum(taus, t)
-        residual = indicator - model.compensator.evaluate_many(stopped)
+        jumped = taus <= t
+        indicator = jumped.astype(float)
+        if jumped.all():
+            stopped = a_tau
+        else:
+            stopped = np.where(jumped, a_tau, A.evaluate_many(np.full(1, t)))
+        residual = indicator - stopped
         mean = float(residual.mean())
-        if not indicator.any():
+        if not jumped.any():
             # Every residual is -A(t ^ tau), so E[A(t ^ tau)] is |mean|.
             stderr = math.sqrt(abs(mean) / n)
         else:

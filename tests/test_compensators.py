@@ -56,6 +56,17 @@ stopped_compensators = st.builds(
     st.floats(0.1, 20.0) | st.just(INFINITY),
 )
 
+every_family = st.one_of(
+    st.floats(0.1, 10.0).map(LinearCompensator),
+    st.floats(1e-3, 20.0).map(PowerCompensator),
+    st.builds(SaturatingExpCompensator, st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    tabulated_compensators(),
+    stopped_compensators,
+)
+
+#: Times for bitwise checks, subnormals included.
+element_times = st.just(0.0) | st.floats(0.0, 1e3, allow_subnormal=True)
+
 #: Probe times and levels away from subnormals, where one ulp is a large
 #: relative error.
 probes = st.lists(st.just(0.0) | st.floats(1e-6, 100.0), min_size=1, max_size=20)
@@ -218,6 +229,27 @@ class TestTabulated:
         np.testing.assert_array_equal(A.evaluate_many(np.array(ts)), evaluated)
         np.testing.assert_array_equal(A.inverse_many(np.array(ss)), inverted)
 
+    def test_overflowing_inverse_names_slope_and_level(self):
+        # range_sup is inf and 1 / 1e-320 is finite in exact arithmetic, so
+        # INFINITY would be wrong; both paths raise the linear tail's error.
+        A = TabulatedCompensator((0.0, 1.0), (0.0, 1.0), 1e-320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"level 2\.0 / extrapolation slope 1e-320"):
+                A.inverse(2.0)
+            with pytest.raises(OverflowError, match=r"level 2\.0 / extrapolation slope 1e-320"):
+                A.inverse_many(np.array([0.5, math.inf, 1.0 + 1e-300, 2.0, 3.0]))
+
+    def test_tiny_slope_keeps_infinite_levels_and_finite_tails(self):
+        A = TabulatedCompensator((0.0, 1.0), (0.0, 1.0), 1e-320)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert A.inverse(math.inf) == INFINITY
+            assert A.inverse(1.0 + 1e-300) == TimePoint(1.0)
+            np.testing.assert_array_equal(
+                A.inverse_many(np.array([0.5, math.inf, 1.0 + 1e-300])), [0.5, math.inf, 1.0]
+            )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TabulatedCompensator((0.0,), (0.0,))
@@ -294,6 +326,17 @@ class TestVectorPaths:
         evaluated, inverted = scalar_paths(A, ts, ss)
         np.testing.assert_allclose(A.evaluate_many(np.array(ts)), evaluated, rtol=1e-12)
         np.testing.assert_allclose(A.inverse_many(np.array(ss)), inverted, rtol=1e-12)
+
+
+    @given(every_family, st.lists(element_times, min_size=1, max_size=40))
+    def test_evaluate_many_is_elementwise(self, A, ts):
+        # verify.martingale_residual relies on this: A(t ^ tau) taken from
+        # A(tau) and from A(t) alone has the bits of A over the stopped array.
+        # Forty times cover numpy's SIMD main loop and its remainder.
+        xs = np.array(ts)
+        together = A.evaluate_many(xs).view(np.uint64)
+        alone = [A.evaluate_many(xs[k : k + 1]).view(np.uint64)[0] for k in range(len(xs))]
+        np.testing.assert_array_equal(together, alone)
 
 
 class TestGeneralizedInverseIdentities:

@@ -7,7 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from jumptime.compensators import SaturatingExpCompensator
+from hypothesis import given
+from hypothesis import strategies as st
+
+from jumptime.compensators import SaturatingExpCompensator, TabulatedCompensator
 from jumptime.core import RngStream, draw_exponential
 from jumptime.processes import (
     JumpModel,
@@ -18,9 +21,12 @@ from jumptime.processes import (
 )
 from jumptime.verify import (
     MARTINGALE_Z_LIMIT,
+    ExpLawReport,
     InfiniteSampleError,
     MartingaleReport,
     _Z_CACHE,
+    _exponential_draws,
+    _longest_run,
     default_time_grid,
     dkw_bound,
     exp_law_verify,
@@ -272,6 +278,15 @@ class TestMartingaleResidual:
         assert stderr == pytest.approx(math.sqrt(t**exponent / n), rel=1e-9)
         assert report.passed, report.max_abs_z
 
+    def test_a_time_past_every_tau_is_not_evaluated(self):
+        # A(1e100) overflows for exponent 20, but every tau is below it, so
+        # A(t ^ tau) never needs it and no overflow warning may appear.
+        model = build_model("power", {"exponent": 20.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = martingale_residual(model, 1000, [0.5, 1e100], seed=3)
+        assert report.residuals[1][0] == 1e100 and math.isfinite(report.residuals[1][1])
+
     def test_grid_and_max_z_are_read_off_the_rows(self):
         rows = ((0.1, 0.0, 0.0), (0.5, -0.3, 0.1), (1.0, 0.2, 0.1))
         report = MartingaleReport("hand", 10, 1, rows)
@@ -306,3 +321,127 @@ class TestDefaultGrid:
         assert len(grid) == 10
         assert grid[0] == 0.1
         assert grid[-1] == 5.0
+
+
+class TestAtomMass:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.5, 0.5, 0.5, 1.0, 2.0, 3.0],  # ties at the start
+            [0.5, 1.0, 2.0, 3.0, 3.0, 3.0],  # ties at the end
+            [0.7] * 9,  # all equal
+            [0.1, 0.2, 0.3, 0.4],  # no ties
+            [0.25],  # n = 1
+            [0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0],  # the longest run in the middle
+        ],
+    )
+    def test_longest_run_is_the_largest_unique_count(self, values):
+        xs = np.sort(np.array(values))
+        n = len(xs)
+        expected = np.unique(xs, return_counts=True)[1].max() / n
+        assert _longest_run(xs) / n == expected
+
+    @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, math.inf]) | st.floats(0.0, 5.0), min_size=1))
+    def test_longest_run_matches_unique_on_random_ties(self, values):
+        xs = np.sort(np.array(values))
+        assert _longest_run(xs) == np.unique(xs, return_counts=True)[1].max()
+
+
+# Reference verifiers that compute each statistic the direct way: the
+# martingale check evaluates A on all stopped times once per grid time, and
+# the exponential-law check sorts its samples four times (its own sort, the KS
+# statistic, np.unique and the integral identity).  The verifiers must give
+# the same report bytes.
+
+
+def reference_exp_law(model, n, alpha, seed):
+    bound = dkw_bound(n, alpha)
+    a_sorted = np.sort(sample_a_tau(model, n, seed))
+
+    xs = np.sort(np.asarray(a_sorted, float))
+    F = np.asarray(EXP1_CDF(xs), float)
+    i = np.arange(1, n + 1)
+    ks = float(np.maximum(np.abs(i / n - F), np.abs((i - 1) / n - F)).max())
+
+    levels = (np.arange(1, 51) - 0.5) / 50.0
+    ts = -np.log1p(-levels)
+    ecdf_at = np.searchsorted(a_sorted, ts, side="right") / n
+    refs = EXP1_CDF(ts)
+    grid = tuple((float(t), float(e), float(r)) for t, e, r in zip(ts, ecdf_at, refs))
+
+    _, counts = np.unique(a_sorted, return_counts=True)
+    max_atom = float(counts.max()) / n
+
+    xs = np.sort(np.asarray(a_sorted, float))
+    ode_ts = np.asarray((0.5, 1.0, 2.0), float)
+    ks_at = np.searchsorted(xs, ode_ts, side="right")
+    below = np.array([xs[:k].sum() for k in ks_at])
+    estimate = (ks_at * ode_ts - below) / n
+    ode_err = float(np.max(np.abs(estimate - (ode_ts + np.expm1(-ode_ts))), initial=0.0))
+
+    return ExpLawReport(model.name, n, seed, alpha, ks, bound, grid, max_atom, ode_err)
+
+
+def reference_martingale(model, n, time_grid, seed):
+    taus = model.taus_from_draws(_exponential_draws(seed, n))
+    if np.any(np.isinf(taus)):
+        raise InfiniteSampleError(model.name)
+    rows = []
+    for t in time_grid:
+        indicator = (taus <= t).astype(float)
+        stopped = np.minimum(taus, t)
+        residual = indicator - model.compensator.evaluate_many(stopped)
+        mean = float(residual.mean())
+        if not indicator.any():
+            stderr = math.sqrt(abs(mean) / n)
+        else:
+            stderr = float(residual.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        rows.append((t, mean, stderr))
+    return MartingaleReport(model.name, n, seed, tuple(rows))
+
+
+def json_or_error(call, *args):
+    try:
+        return call(*args).to_json()
+    except InfiniteSampleError:
+        return "InfiniteSampleError"
+
+
+REFERENCE_MODELS = (
+    *catalog_models(),
+    negative_control_model(),
+    *(build_model("power", {"exponent": e}) for e in (0.005, 0.3, 2.5, 6.7, 10.0)),
+    JumpModel(
+        "tabulated-with-flats",
+        TabulatedCompensator(
+            (0.0, 0.5, 1.0, 1.5, 2.5, 3.0, 4.0),
+            (0.0, 0.4, 0.4, 1.1, 1.1, 1.1, 2.0),
+            extrapolation_slope=0.75,
+        ),
+    ),
+)
+
+#: The default grid; one with 0 and times below every tau (the no-jump rows);
+#: and the empty grid.
+REFERENCE_GRIDS = (default_time_grid(), (0.0, 1e-12, 1e-3, 0.7, 3.0, 40.0), ())
+
+
+class TestAgainstTheReference:
+    @pytest.mark.parametrize("model", REFERENCE_MODELS, ids=lambda m: m.name)
+    def test_reports_keep_their_bytes(self, model):
+        for seed in (0, 7, 2**64 - 1):
+            for n in (1, 2, 999, 100_000):
+                assert json_or_error(exp_law_verify, model, n, 0.01, seed) == json_or_error(
+                    reference_exp_law, model, n, 0.01, seed
+                ), (seed, n)
+                for grid in REFERENCE_GRIDS:
+                    assert json_or_error(
+                        martingale_residual, model, n, grid, seed
+                    ) == json_or_error(reference_martingale, model, n, grid, seed), (seed, n, grid)
+
+    def test_reference_reaches_every_branch(self):
+        # The no-jump rows and the n == 1 rows are among the compared cases.
+        report = reference_martingale(poisson_model(1.0), 999, REFERENCE_GRIDS[1], 7)
+        assert report.residuals[1][1] < 0.0 and report.residuals[1][2] > 0.0
+        single = reference_martingale(poisson_model(1.0), 1, (40.0,), 7)
+        assert single.residuals[0][2] == 0.0 and single.residuals[0][1] != 0.0
