@@ -11,12 +11,8 @@ subcommand but ``cox-demo`` is a builder that returns a ``_Report`` (JSON
 document, CSV rows, verdict, optional stderr summary), and ``_write`` alone
 chooses the format and maps the verdict to the exit status.  The verdicts are
 the reports' own (``ExpLawReport.passed``, ``MartingaleReport.passed``, the
-Feller reports' ``passed``).  ``cox-demo`` writes its rows one draw block at
-a time from ``cox._cox_blocks``, the loop ``cox.cox_samples`` runs on: Exp(1)
-levels in vectorised Philox blocks, each mapped through the scalar
-compensator methods and rendered through one row template per format, so
-every row equals ``cox_sample(A, RngStream(seed, k)).to_json_dict()`` as
-``json.dumps`` or ``csv.writer`` would write it.
+Feller reports' ``passed``).  ``cox-demo`` hands its rows to
+``cox.write_cox_rows``, which writes them one draw block at a time.
 
 Exit status contract: 0 all checks passed, 1 a verification honestly failed,
 2 usage error, 3 runtime error (including an infinite jump-time draw, a jump
@@ -36,7 +32,7 @@ from typing import NamedTuple, Optional
 
 # cox_sample is not called here; it stays bound as the scalar reference at
 # this lookup site, which bench/tracer.py wraps.
-from .cox import _COX_FORMATS, _cox_blocks, cox_sample  # noqa: F401
+from .cox import cox_sample, write_cox_rows  # noqa: F401
 from .predictable import (
     GEOMETRIC,
     HARMONIC,
@@ -285,37 +281,10 @@ def _predictable_demo(args: argparse.Namespace) -> _Report:
     return _Report(doc, [("time", "value")] + knots, passed, json.dumps(summary))
 
 
-def _write_cox_rows(fh, A, seed: int, n: int, fmt: str) -> None:
-    """Write ``cox_sample(A, RngStream(seed, k)).to_json_dict()`` for k < n, as rows.
-
-    Each block of ``_cox_blocks`` is rendered through one row template and
-    written with one call; the rows rendered before a mid-block error (a jump
-    time that overflows a float) are written before the error propagates.
-    """
-    header, row, infinity = _COX_FORMATS[fmt]
-    template = row.replace("SEED", str(seed))
-    fh.write(header)
-    start = 0
-    for block in _cox_blocks(A, seed, n):
-        rows = []
-        try:
-            for k, (z, tau, a_at_tau) in enumerate(block, start):
-                tau_text = repr(tau.value) if tau.is_finite else infinity
-                rows.append(template % (repr(z), tau_text, repr(a_at_tau), k))
-        finally:
-            fh.write("".join(rows))
-        start += len(rows)
-
-
 def _cox_demo(args: argparse.Namespace) -> int:
-    """Write ``cox-demo``'s rows one draw block at a time.
-
-    Memory stays flat in ``--n``, and the rows drawn before a mid-stream
-    error (a jump time that overflows a float) are still written.
-    """
     model = build_model(args.model, args.params)
     with _open_out(args.out) as fh:
-        _write_cox_rows(fh, model.compensator, args.seed, args.n, args.format)
+        write_cox_rows(fh, model.compensator, args.seed, args.n, args.format)
     return 0
 
 
@@ -330,14 +299,10 @@ _BUILDERS = {
 
 def run(args: argparse.Namespace) -> int:
     """Execute parsed arguments; returns the process exit status."""
-    builder = _BUILDERS.get(args.command)
-    if builder is None and args.command != "cox-demo":
-        print(f"error: unknown command {args.command!r}", file=sys.stderr)
-        return 2
     try:
-        if builder is None:
+        if args.command == "cox-demo":
             return _cox_demo(args)
-        return _write(args, builder(args))
+        return _write(args, _BUILDERS[args.command](args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -196,6 +196,31 @@ class SaturatingExpCompensator(Compensator):
         return np.where(ss >= self.limit, math.inf, finite)
 
 
+def _lerp(x: float, x0: float, x1: float, y0: float, y1: float) -> float:
+    """The segment through (x0, y0) and (x1, y1) at x, for x0 <= x <= x1.
+
+    The product ``(x - x0) * (y1 - y0)`` comes first, since report bytes
+    depend on the result's last bit.  Where it overflows on a wide segment,
+    the fraction ``(x - x0) / (x1 - x0)``, at most 1, is taken first
+    instead, so a finite answer is never reported as infinite.
+    """
+    step = (x - x0) * (y1 - y0)
+    if math.isinf(step):
+        return y0 + (x - x0) / (x1 - x0) * (y1 - y0)
+    return y0 + step / (x1 - x0)
+
+
+def _lerp_many(x, x0, x1, y0, y1) -> np.ndarray:
+    """Array twin of ``_lerp``; a zero-width segment gives nan or inf, for the caller to mask."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        step = (x - x0) * (y1 - y0)
+        out = y0 + step / (x1 - x0)
+        wide = np.isinf(step)
+        if wide.any():
+            out = np.where(wide, y0 + (x - x0) / (x1 - x0) * (y1 - y0), out)
+    return out
+
+
 def _first_bad_knot(times, values) -> tuple[int, str] | None:
     """Index and reason of the first knot breaking a table's invariants, or None."""
     for i, (t, v) in enumerate(zip(times, values)):
@@ -218,12 +243,13 @@ class TabulatedCompensator(Compensator):
     """Piecewise-linear compensator through (time, value) knots.
 
     Beyond the last knot the function either stays constant (bounded, the
-    default) or continues linearly with ``extrapolation_slope``.
+    default slope 0; None means the same) or continues linearly with
+    ``extrapolation_slope``.
     """
 
     times: tuple[float, ...]
     values: tuple[float, ...]
-    extrapolation_slope: float | None = None
+    extrapolation_slope: float = 0.0
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
@@ -237,28 +263,22 @@ class TabulatedCompensator(Compensator):
         bad = _first_bad_knot(times, values)
         if bad is not None:
             raise ValueError(f"knot {bad[0]}: {bad[1]}")
-        if self.extrapolation_slope is not None:
-            slope = float(self.extrapolation_slope)
-            if not (math.isfinite(slope) and slope >= 0.0):
-                raise ValueError("extrapolation slope must be finite and nonnegative")
-            object.__setattr__(self, "extrapolation_slope", slope)
+        slope = 0.0 if self.extrapolation_slope is None else float(self.extrapolation_slope)
+        if not (math.isfinite(slope) and slope >= 0.0):
+            raise ValueError("extrapolation slope must be finite and nonnegative")
+        object.__setattr__(self, "extrapolation_slope", slope)
 
     @property
     def range_sup(self) -> float:
-        if self.extrapolation_slope is not None and self.extrapolation_slope > 0.0:
-            return math.inf
-        return self.values[-1]
+        return math.inf if self.extrapolation_slope > 0.0 else self.values[-1]
 
     def _evaluate_finite(self, t: float) -> float:
         if t >= self.times[-1]:
-            slope = self.extrapolation_slope or 0.0
-            return self.values[-1] + slope * (t - self.times[-1])
+            return self.values[-1] + self.extrapolation_slope * (t - self.times[-1])
         i = bisect_right(self.times, t) - 1
         if t == self.times[i]:
             return self.values[i]
-        t0, t1 = self.times[i], self.times[i + 1]
-        v0, v1 = self.values[i], self.values[i + 1]
-        return v0 + (t - t0) * (v1 - v0) / (t1 - t0)
+        return _lerp(t, self.times[i], self.times[i + 1], self.values[i], self.values[i + 1])
 
     def evaluate_many(self, ts):
         ts = _check_nonnegative(ts, "times")
@@ -266,13 +286,9 @@ class TabulatedCompensator(Compensator):
         values = np.asarray(self.values)
         i = np.maximum(np.searchsorted(times, ts, side="right") - 1, 0)
         ip = np.minimum(i + 1, len(times) - 1)
-        t0, t1 = times[i], times[ip]
-        v0, v1 = values[i], values[ip]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            interp = v0 + (ts - t0) * (v1 - v0) / (t1 - t0)
-        out = np.where(ts == t0, v0, interp)
-        slope = self.extrapolation_slope or 0.0
-        tail = values[-1] + slope * (ts - times[-1])
+        t0, v0 = times[i], values[i]
+        out = np.where(ts == t0, v0, _lerp_many(ts, t0, times[ip], v0, values[ip]))
+        tail = values[-1] + self.extrapolation_slope * (ts - times[-1])
         return np.where(ts >= times[-1], tail, out)
 
     def _overflow(self, s: float) -> OverflowError:
@@ -287,9 +303,8 @@ class TabulatedCompensator(Compensator):
         if s == 0.0:
             return TimePoint(0.0)
         if s > self.values[-1]:
-            slope = self.extrapolation_slope or 0.0
-            if slope > 0.0:
-                tau = self.times[-1] + (s - self.values[-1]) / slope
+            if self.extrapolation_slope > 0.0:
+                tau = self.times[-1] + (s - self.values[-1]) / self.extrapolation_slope
                 if math.isinf(tau) and math.isfinite(s):
                     raise self._overflow(s)
                 return TimePoint(tau)
@@ -298,9 +313,8 @@ class TabulatedCompensator(Compensator):
         if self.values[j] == s:
             # First knot attaining the level: the exact left edge of any flat.
             return TimePoint(self.times[j])
-        t0, t1 = self.times[j - 1], self.times[j]
-        v0, v1 = self.values[j - 1], self.values[j]
-        return TimePoint(t0 + (s - v0) * (t1 - t0) / (v1 - v0))
+        values, times = self.values, self.times
+        return TimePoint(_lerp(s, values[j - 1], values[j], times[j - 1], times[j]))
 
     def inverse_many(self, ss):
         ss = _check_nonnegative(ss)
@@ -308,13 +322,12 @@ class TabulatedCompensator(Compensator):
         values = np.asarray(self.values)
         j = np.minimum(np.searchsorted(values, ss, side="left"), len(values) - 1)
         jm = np.maximum(j - 1, 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            interp = times[jm] + (ss - values[jm]) * (times[j] - times[jm]) / (values[j] - values[jm])
+        interp = _lerp_many(ss, values[jm], values[j], times[jm], times[j])
         out = np.where(values[j] == ss, times[j], interp)
         out = np.where(ss == 0.0, 0.0, out)
         above = ss > values[-1]
         if np.any(above):
-            slope = self.extrapolation_slope or 0.0
+            slope = self.extrapolation_slope
             if slope > 0.0:
                 with np.errstate(over="ignore"):
                     tail = times[-1] + (ss - values[-1]) / slope
@@ -398,7 +411,7 @@ def time_change_check(A: Compensator, tau: TimeLike, s: float) -> bool:
     return indicators_match and values_match
 
 
-def load_tabulated_csv(path, extrapolation_slope: float | None = None) -> TabulatedCompensator:
+def load_tabulated_csv(path, extrapolation_slope: float = 0.0) -> TabulatedCompensator:
     """Load a tabulated compensator from a two-column (time, value) CSV.
 
     The first row is a header.  Violations of the compensator invariants are
@@ -432,6 +445,6 @@ def load_tabulated_csv(path, extrapolation_slope: float | None = None) -> Tabula
         raise ValueError(f"row {rows[bad[0]]}: {bad[1]}")
     if len(times) < 2:
         raise ValueError("table needs at least two data rows")
-    if all(v == 0.0 for v in values) and not (extrapolation_slope and extrapolation_slope > 0.0):
+    if all(v == 0.0 for v in values) and not extrapolation_slope > 0.0:
         raise ValueError("identically-zero compensator rejected (tau would be infinite)")
     return TabulatedCompensator(tuple(times), tuple(values), extrapolation_slope)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from typing import Iterator, Union
 
 import numpy as np
@@ -50,13 +50,15 @@ LINEAR = "linear"
 _MIN_UNIFORM = 2.0**-53
 
 
+@total_ordering
 class TimePoint:
     """A nonnegative model time, or the distinguished value +infinity.
 
     Infinity is a tagged value of this class, never a bare float: code that
     needs the numeric value must go through :attr:`value`, which refuses to
     hand out ``math.inf``.  Comparisons treat infinity as greater than every
-    finite time.  Instances are immutable.
+    finite time; a NaN operand is not a time and cannot be ordered against
+    one.  Instances are immutable.
     """
 
     __slots__ = ("_value",)
@@ -90,7 +92,7 @@ class TimePoint:
     def _cmp_key(self, other) -> float:
         if isinstance(other, TimePoint):
             return other._value
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, float)) and other == other:
             return float(other)
         return NotImplemented
 
@@ -105,24 +107,6 @@ class TimePoint:
         if key is NotImplemented:
             return NotImplemented
         return self._value < key
-
-    def __le__(self, other):
-        key = self._cmp_key(other)
-        if key is NotImplemented:
-            return NotImplemented
-        return self._value <= key
-
-    def __gt__(self, other):
-        key = self._cmp_key(other)
-        if key is NotImplemented:
-            return NotImplemented
-        return self._value > key
-
-    def __ge__(self, other):
-        key = self._cmp_key(other)
-        if key is NotImplemented:
-            return NotImplemented
-        return self._value >= key
 
     def __hash__(self):
         return hash(self._value)

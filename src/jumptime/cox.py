@@ -6,12 +6,13 @@ infimum returns tau itself (the round trip), and A(tau) recovers Z whenever
 tau is finite, because a continuous A attains the level it crosses.
 
 ``cox_sample`` draws one level from one ``RngStream``, the scalar reference.
-``cox_samples`` yields the same samples for stream ids 0..n-1.  It and the
-``cox-demo`` writer share one block loop, ``_cox_blocks``: the levels come
-from vectorised Philox blocks, and each is mapped through the same scalar
-``A.inverse`` and ``A.evaluate`` as ``cox_sample``, so their rows agree bit
-for bit.  ``CoxSample.to_json_dict`` is the reference form of a row, and
-``_COX_FORMATS`` holds the same row as the templates ``cox-demo`` writes.
+``cox_samples`` yields the same samples for stream ids 0..n-1, and
+``write_cox_rows`` writes them as ``cox-demo``'s rows.  Both take their
+levels from ``exponential_blocks`` (vectorised Philox blocks) and map each
+through the same scalar ``A.inverse`` and ``A.evaluate`` as ``cox_sample``,
+so they agree with it bit for bit.  ``CoxSample.to_json_dict`` is the
+reference form of a row, and ``_COX_FORMATS`` holds the same row as the
+templates ``write_cox_rows`` fills.
 """
 
 from __future__ import annotations
@@ -31,7 +32,14 @@ from .core import (
     exponential_blocks,
 )
 
-__all__ = ["CoxSample", "cox_round_trip", "cox_sample", "cox_samples", "cox_time"]
+__all__ = [
+    "CoxSample",
+    "cox_round_trip",
+    "cox_sample",
+    "cox_samples",
+    "cox_time",
+    "write_cox_rows",
+]
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,7 @@ class CoxSample:
         }
 
 
-#: ``to_json_dict``'s rows as ``cox-demo`` writes them, per format: the
+#: ``to_json_dict``'s rows as ``write_cox_rows`` writes them, per format: the
 #: header, the row template with its SEED still to be filled in (a decimal
 #: integer needs no JSON escaping or CSV quoting), and an infinite tau.  The
 #: floats come as their ``repr``, which is what ``json.dumps`` and
@@ -90,36 +98,42 @@ def cox_sample(A: Compensator, stream: RngStream) -> CoxSample:
     return CoxSample(z=z, tau=tau, a_at_tau=A.evaluate(tau), stream=stream)
 
 
-def _map_levels(A: Compensator, zs: list) -> Iterator[tuple[float, TimePoint, float]]:
-    inverse, evaluate = A.inverse, A.evaluate
-    for z in zs:
-        tau = inverse(z)
-        yield z, tau, evaluate(tau)
-
-
-def _cox_blocks(
-    A: Compensator, seed: int, n: int
-) -> Iterator[Iterator[tuple[float, TimePoint, float]]]:
-    """``(z, tau, a_at_tau)`` of stream ids 0..n-1, one ``_DRAW_BLOCK`` at a time.
-
-    Each block's levels come from ``exponential_blocks``; every level is
-    positive, so ``cox_time``'s check is skipped and it goes straight to the
-    scalar ``A.inverse``.  A block maps its levels lazily, so the rows before
-    a mid-block error (a jump time that overflows a float) are still seen.
-    """
-    for block in exponential_blocks(seed, n):
-        yield _map_levels(A, block.tolist())
-
-
 def cox_samples(A: Compensator, seed: int, n: int) -> Iterator[CoxSample]:
     """``cox_sample(A, RngStream(seed, k))`` for k = 0..n-1, lazily.
 
     The levels come one block at a time, so memory stays flat in n; each
-    sample is built as it is asked for.
+    sample is built as it is asked for.  Every level is positive, so
+    ``cox_time``'s check is skipped and it goes straight to ``A.inverse``.
     """
-    rows = chain.from_iterable(_cox_blocks(A, seed, n))
-    for k, (z, tau, a_at_tau) in enumerate(rows):
-        yield CoxSample(z=z, tau=tau, a_at_tau=a_at_tau, stream=RngStream(seed, k))
+    levels = chain.from_iterable(block.tolist() for block in exponential_blocks(seed, n))
+    for k, z in enumerate(levels):
+        tau = A.inverse(z)
+        yield CoxSample(z=z, tau=tau, a_at_tau=A.evaluate(tau), stream=RngStream(seed, k))
+
+
+def write_cox_rows(fh, A: Compensator, seed: int, n: int, fmt: str) -> None:
+    """Write ``cox_sample(A, RngStream(seed, k)).to_json_dict()`` for k < n as ``fmt`` rows.
+
+    Each block of ``exponential_blocks`` is rendered through one row template
+    and written with one call, so memory stays flat in n; the rows rendered
+    before a mid-block error (a jump time that overflows a float) are written
+    before the error propagates.
+    """
+    header, row, infinity = _COX_FORMATS[fmt]
+    template = row.replace("SEED", str(seed))
+    inverse, evaluate = A.inverse, A.evaluate
+    fh.write(header)
+    start = 0
+    for block in exponential_blocks(seed, n):
+        rows = []
+        try:
+            for k, z in enumerate(block.tolist(), start):
+                tau = inverse(z)
+                tau_text = repr(tau.value) if tau.is_finite else infinity
+                rows.append(template % (repr(z), tau_text, repr(evaluate(tau)), k))
+        finally:
+            fh.write("".join(rows))
+        start += len(rows)
 
 
 def cox_round_trip(A: Compensator, tau: TimeLike) -> TimePoint:

@@ -12,10 +12,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from jumptime import core
-from jumptime.cli import KNOT_TOLERANCE, MARTINGALE_Z_LIMIT, _write_cox_rows, main, parse_args
+from jumptime.cli import KNOT_TOLERANCE, MARTINGALE_Z_LIMIT, main, parse_args
 from jumptime.compensators import SaturatingExpCompensator
 from jumptime.core import _DRAW_BLOCK, RngStream
-from jumptime.cox import cox_sample
+from jumptime.cox import cox_sample, write_cox_rows
 from jumptime.processes import build_model
 from jumptime.verify import _Z_CACHE
 
@@ -428,7 +428,7 @@ class TestCoxDemoBytes:
         monkeypatch.setattr(core, "_DRAW_BLOCK", 7)
         A, seed, n = SaturatingExpCompensator(0.5, 1.0), 3, 50
         buf = io.StringIO()
-        _write_cox_rows(buf, A, seed, n, fmt)
+        write_cox_rows(buf, A, seed, n, fmt)
         expected = reference_rows(A, seed, range(n), fmt)
         assert_same_lines(buf.getvalue(), expected)
         assert 0 < expected.count("infinity") < n

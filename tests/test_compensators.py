@@ -250,6 +250,21 @@ class TestTabulated:
                 A.inverse_many(np.array([0.5, math.inf, 1.0 + 1e-300])), [0.5, math.inf, 1.0]
             )
 
+    def test_wide_knot_spans_interpolate_without_overflow(self):
+        # (s - v0) * (t1 - t0) and (t - t0) * (v1 - v0) overflow a float here,
+        # although tau = 5e299 and A(5e299) = 5e9 are finite.
+        A = TabulatedCompensator((0.0, 1e300), (0.0, 1e10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert A.inverse(5e9) == TimePoint(5e299)
+            assert A.evaluate(5e299) == 5e9
+            np.testing.assert_array_equal(
+                A.inverse_many(np.array([0.0, 5e9, 1e10])), [0.0, 5e299, 1e300]
+            )
+            np.testing.assert_array_equal(
+                A.evaluate_many(np.array([0.0, 5e299, 1e300])), [0.0, 5e9, 1e10]
+            )
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TabulatedCompensator((0.0,), (0.0,))

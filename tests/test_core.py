@@ -1,6 +1,7 @@
 """Value types: time points, cadlag paths, and reproducible random streams."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from jumptime.core import (
 )
 
 finite_times = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
+
+#: Operands a TimePoint compares against: floats, ints a float holds exactly, infinity.
+time_operands = finite_times | st.integers(min_value=0, max_value=2**53) | st.just(math.inf)
 
 
 class TestTimePoint:
@@ -63,10 +67,22 @@ class TestTimePoint:
             t._value = 2.0
         assert len({TimePoint(1.0), TimePoint(1.0), INFINITY}) == 2
 
-    @given(finite_times, finite_times)
+    @given(time_operands, time_operands)
     def test_order_agrees_with_floats(self, a, b):
-        assert (TimePoint(a) < TimePoint(b)) == (a < b)
-        assert (TimePoint(a) == TimePoint(b)) == (a == b)
+        for x, y in ((TimePoint(a), TimePoint(b)), (TimePoint(a), b), (a, TimePoint(b))):
+            assert (x < y) == (a < b)
+            assert (x <= y) == (a <= b)
+            assert (x > y) == (a > b)
+            assert (x >= y) == (a >= b)
+            assert (x == y) == (a == b)
+
+    def test_nan_and_non_numbers_are_not_ordered(self):
+        for other in (math.nan, "x"):
+            for x, y in ((TimePoint(1.0), other), (other, TimePoint(1.0))):
+                for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+                    with pytest.raises(TypeError):
+                        compare(x, y)
+                assert x != y
 
     def test_as_timepoint_passthrough_and_coercion(self):
         t = TimePoint(2.0)

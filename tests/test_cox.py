@@ -1,5 +1,8 @@
 """Constructed jump times: level crossing, sampling, and the round trip."""
 
+import csv
+import io
+import json
 import math
 
 import pytest
@@ -13,13 +16,26 @@ from jumptime.compensators import (
     SaturatingExpCompensator,
 )
 from jumptime.core import INFINITY, RngStream, TimePoint
-from jumptime.cox import cox_round_trip, cox_sample, cox_samples, cox_time
+from jumptime.cox import cox_round_trip, cox_sample, cox_samples, cox_time, write_cox_rows
 from jumptime.processes import catalog_models, flat_compensator_model
 
 #: Every catalog compensator, plus a bounded one whose high levels are never hit.
 STREAM_COMPENSATORS = [m.compensator for m in catalog_models()] + [
     SaturatingExpCompensator(limit=0.5, rate=1.0)
 ]
+
+
+
+def reference_text(A, seed: int, n: int, fmt: str) -> str:
+    """``write_cox_rows``'s output for streams 0..n-1, written the reference way."""
+    rows = [cox_sample(A, RngStream(seed, k)).to_json_dict() for k in range(n)]
+    if fmt == "json":
+        return "".join(json.dumps(row) + "\n" for row in rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("z", "tau", "a_at_tau", "seed", "stream_id"))
+    writer.writerows(row.values() for row in rows)
+    return buf.getvalue()
 
 
 class TestCoxTime:
@@ -133,6 +149,25 @@ class TestCoxSamples:
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="64-bit"):
                 next(cox_samples(LinearCompensator(1.0), seed, 3))
+
+
+class TestWriteCoxRows:
+    """The ``cox-demo`` writer against the per-row scalar reference, byte for byte."""
+
+    @given(
+        st.sampled_from(STREAM_COMPENSATORS),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from(["json", "csv"]),
+    )
+    def test_equals_the_scalar_reference(self, A, seed, n, block, fmt):
+        # A small block makes most cases cross one or more block boundaries.
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_DRAW_BLOCK", block)
+            write_cox_rows(buf, A, seed, n, fmt)
+        assert buf.getvalue() == reference_text(A, seed, n, fmt)
 
 
 class TestRoundTrip:
