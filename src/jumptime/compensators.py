@@ -1,10 +1,9 @@
 """Compensators: nondecreasing continuous A with A(0) = 0.
 
-A compensator can be evaluated, stopped at a time, and inverted through the
-generalized inverse ``A^{-1}(s) = inf{t >= 0 : A(t) >= s}`` (the left edge of
-any flat piece; infinity when the level is never reached).  The module also
-provides the time-change identity checker used by the verification suite and
-a CSV loader for tabulated compensators.
+A compensator can be evaluated and inverted through the generalized inverse
+``A^{-1}(s) = inf{t >= 0 : A(t) >= s}`` (the left edge of any flat piece;
+infinity when the level is never reached).  The module also provides a CSV
+loader for tabulated compensators.
 """
 
 from __future__ import annotations
@@ -24,15 +23,9 @@ __all__ = [
     "LinearCompensator",
     "PowerCompensator",
     "SaturatingExpCompensator",
-    "StoppedCompensator",
     "TabulatedCompensator",
     "load_tabulated_csv",
-    "time_change_check",
 ]
-
-#: Absolute tolerance for real-valued identity checks (indicators are exact).
-VALUE_TOLERANCE = 1e-12
-
 
 class Compensator(abc.ABC):
     """Shared contract: A(0) = 0, nondecreasing, continuous."""
@@ -63,9 +56,6 @@ class Compensator(abc.ABC):
     @abc.abstractmethod
     def inverse_many(self, ss: np.ndarray) -> np.ndarray:
         """Vectorized generalized inverse (times as floats, inf when never)."""
-
-    def stop(self, tau: TimeLike) -> "StoppedCompensator":
-        return StoppedCompensator(self, as_timepoint(tau))
 
     def __call__(self, t: TimeLike) -> float:
         return self.evaluate(t)
@@ -288,7 +278,9 @@ class TabulatedCompensator(Compensator):
         ip = np.minimum(i + 1, len(times) - 1)
         t0, v0 = times[i], values[i]
         out = np.where(ts == t0, v0, _lerp_many(ts, t0, times[ip], v0, values[ip]))
-        tail = values[-1] + self.extrapolation_slope * (ts - times[-1])
+        slope = self.extrapolation_slope
+        # A bounded table's tail is its last value, at +inf too (0 * inf is nan).
+        tail = values[-1] + slope * (ts - times[-1]) if slope > 0.0 else values[-1]
         return np.where(ts >= times[-1], tail, out)
 
     def _overflow(self, s: float) -> OverflowError:
@@ -338,77 +330,6 @@ class TabulatedCompensator(Compensator):
                 tail = np.full_like(ss, math.inf)
             out = np.where(above, tail, out)
         return out
-
-
-@dataclass(frozen=True)
-class StoppedCompensator(Compensator):
-    """A stopped at tau: t |-> A(t ^ tau), with range_sup = A(tau)."""
-
-    base: Compensator
-    tau: TimePoint
-
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("stopping time must be positive")
-
-    @property
-    def range_sup(self) -> float:
-        if not self.tau.is_finite:
-            return self.base.range_sup
-        return self.base.evaluate(self.tau)
-
-    def _evaluate_finite(self, t: float) -> float:
-        if self.tau.is_finite and t > self.tau.value:
-            t = self.tau.value
-        return self.base.evaluate(t)
-
-    def evaluate_many(self, ts):
-        ts = _check_nonnegative(ts, "times")
-        if self.tau.is_finite:
-            ts = np.minimum(ts, self.tau.value)
-        return self.base.evaluate_many(ts)
-
-    def inverse(self, s: float) -> TimePoint:
-        s = _check_level(s)
-        if s > self.range_sup:
-            return INFINITY
-        # Continuity of the base makes the level attained at or before tau.
-        return self.base.inverse(s)
-
-    def inverse_many(self, ss):
-        ss = _check_nonnegative(ss)
-        # As in inverse, a level above range_sup never reaches the base, where
-        # it could overflow although its answer is INFINITY.
-        never = ss > self.range_sup
-        return np.where(never, math.inf, self.base.inverse_many(np.where(never, 0.0, ss)))
-
-
-def time_change_check(A: Compensator, tau: TimeLike, s: float) -> bool:
-    """Check both sides of the time-change identities at (tau, s).
-
-    Indicator identity ``1{A^{-1}(s) >= tau} == 1{s >= A(tau)}`` is compared
-    exactly; the value identity ``s ^ A(tau) == A(A^{-1}(s) ^ tau)`` within
-    ``VALUE_TOLERANCE``.  Both hold almost surely for tau produced by the
-    matching model; a tau planted inside a flat piece of A can break the
-    indicator side.
-    """
-    tp = as_timepoint(tau)
-    if not tp.is_finite:
-        raise ValueError("time change check requires finite tau")
-    if not tp > 0:
-        raise ValueError("time change check requires tau > 0")
-    s = _check_level(s)
-
-    inv = A.inverse(s)
-    a_tau = A.evaluate(tp)
-
-    indicators_match = (inv >= tp) == (s >= a_tau)
-
-    lhs = min(s, a_tau)
-    rhs = A.evaluate(inv.min(tp))
-    values_match = abs(lhs - rhs) <= VALUE_TOLERANCE
-
-    return indicators_match and values_match
 
 
 def load_tabulated_csv(path, extrapolation_slope: float = 0.0) -> TabulatedCompensator:

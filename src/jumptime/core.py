@@ -1,7 +1,7 @@
 """Foundational value types shared by every other module.
 
 Three things live here: model time with an explicit, tagged infinity
-(``TimePoint``), right-continuous piecewise paths (``CadlagPath``), and
+(``TimePoint``), continuous piecewise-linear paths (``CadlagPath``), and
 deterministic multi-stream randomness (``RngStream``).  Everything is an
 immutable value, safe to share between threads and to split across
 replications by stream id.
@@ -20,7 +20,7 @@ them into one array for the verifiers.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from typing import Iterator, Union
@@ -28,9 +28,7 @@ from typing import Iterator, Union
 import numpy as np
 
 __all__ = [
-    "CONSTANT",
     "INFINITY",
-    "LINEAR",
     "CadlagPath",
     "RngStream",
     "TimePoint",
@@ -41,10 +39,6 @@ __all__ = [
     "exponential_blocks",
     "exponential_from_uniform",
 ]
-
-# Segment kinds of a CadlagPath.
-CONSTANT = "constant"
-LINEAR = "linear"
 
 # Smallest value the underlying 53-bit uniform generator can produce.
 _MIN_UNIFORM = 2.0**-53
@@ -84,10 +78,6 @@ class TimePoint:
         if not math.isfinite(self._value):
             raise ValueError("the infinite time has no finite value")
         return self._value
-
-    def min(self, other: "TimeLike") -> "TimePoint":
-        other = as_timepoint(other)
-        return self if self._value <= other._value else other
 
     def _cmp_key(self, other) -> float:
         if isinstance(other, TimePoint):
@@ -131,32 +121,26 @@ def as_timepoint(t: TimeLike) -> TimePoint:
 
 @dataclass(frozen=True)
 class CadlagPath:
-    """A right-continuous piecewise path with left limits.
+    """A continuous piecewise-linear path, so in particular cadlag.
 
     Knots are a strictly increasing sequence of times starting at 0 with one
-    value each; between consecutive knots the path is either CONSTANT (holds
-    the left knot's value, jumping at the right knot) or LINEAR (exact
-    interpolation between the two knot values, hence continuous there).  On
-    ``[last knot, infinity)`` the path holds the last knot's value.
+    value each; between consecutive knots the path interpolates the two knot
+    values exactly.  On ``[last knot, infinity)`` the path holds the last
+    knot's value.
     """
 
     times: tuple[float, ...]
     values: tuple[float, ...]
-    kinds: tuple[str, ...]
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
         values = tuple(float(v) for v in self.values)
-        kinds = tuple(self.kinds)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "kinds", kinds)
         if not times:
             raise ValueError("a path needs at least one knot")
         if len(values) != len(times):
             raise ValueError("times and values must have equal length")
-        if len(kinds) != len(times) - 1:
-            raise ValueError("need exactly one segment kind per inter-knot interval")
         if times[0] != 0.0:
             raise ValueError(f"first knot must sit at time 0, got {times[0]}")
         for i in range(1, len(times)):
@@ -165,36 +149,13 @@ class CadlagPath:
         for t, v in zip(times, values):
             if not (math.isfinite(t) and math.isfinite(v)):
                 raise ValueError("knot times and values must be finite")
-        for k in kinds:
-            if k not in (CONSTANT, LINEAR):
-                raise ValueError(f"unknown segment kind {k!r}")
-
-    @property
-    def terminal_value(self) -> float:
-        """Value held on [last knot, infinity)."""
-        return self.values[-1]
-
-    @classmethod
-    def step(cls, jump_time: TimeLike) -> "CadlagPath":
-        """The path equal to 0 on [0, jump_time) and 1 afterwards."""
-        jt = as_timepoint(jump_time)
-        if not jt.is_finite:
-            return cls((0.0,), (0.0,), ())
-        if jt.value == 0.0:
-            return cls((0.0,), (1.0,), ())
-        return cls((0.0, jt.value), (0.0, 1.0), (CONSTANT,))
 
     @classmethod
     def constant(cls, value: float) -> "CadlagPath":
-        return cls((0.0,), (float(value),), ())
-
-    @classmethod
-    def piecewise_linear(cls, times, values) -> "CadlagPath":
-        times = tuple(times)
-        return cls(times, tuple(values), (LINEAR,) * (len(times) - 1))
+        return cls((0.0,), (float(value),))
 
     def evaluate(self, t: TimeLike) -> float:
-        """Right-continuous value at a finite time t."""
+        """Value at a finite time t."""
         tp = as_timepoint(t)
         if not tp.is_finite:
             raise ValueError("path evaluation requires a finite time")
@@ -202,33 +163,18 @@ class CadlagPath:
         i = bisect_right(self.times, tv) - 1
         if i >= len(self.times) - 1:
             return self.values[-1]
-        if self.kinds[i] == CONSTANT:
-            return self.values[i]
         t0, t1 = self.times[i], self.times[i + 1]
         v0, v1 = self.values[i], self.values[i + 1]
         return v0 + (tv - t0) * (v1 - v0) / (t1 - t0)
 
     def left_limit(self, t: TimeLike) -> float:
-        """Limit from the left at a finite time t > 0."""
+        """Limit from the left at a finite time t > 0: the value, as the path is continuous."""
         tp = as_timepoint(t)
         if not tp.is_finite:
             raise ValueError("left limit requires a finite time")
-        tv = tp.value
-        if tv <= 0.0:
+        if tp.value <= 0.0:
             raise ValueError("no left limit exists at time 0")
-        i = bisect_left(self.times, tv)
-        if i >= len(self.times):
-            return self.values[-1]
-        if self.times[i] == tv:
-            # t is a knot: the limit comes from the segment ending here.
-            if self.kinds[i - 1] == CONSTANT:
-                return self.values[i - 1]
-            return self.values[i]
-        # strictly inside a segment, where the path is continuous
-        return self.evaluate(tv)
-
-    def __call__(self, t: TimeLike) -> float:
-        return self.evaluate(t)
+        return self.evaluate(tp)
 
 
 def _check_seed(seed: int) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import LINEAR, CadlagPath, TimeLike, TimePoint, as_timepoint
+from .core import CadlagPath, TimeLike, TimePoint, as_timepoint
 
 __all__ = [
     "GEOMETRIC",
@@ -117,8 +117,6 @@ class YProcess:
             raise ValueError("Y must be nonincreasing")
         if values[-1] != 0.0:
             raise ValueError("Y must end at exactly 0")
-        if any(kind != LINEAR for kind in self.path.kinds):
-            raise ValueError("Y is continuous: all segments must be linear")
 
     @property
     def knot_levels(self) -> tuple[float, ...]:
@@ -155,7 +153,7 @@ def build_y_process(seq: AnnouncingSequence) -> YProcess:
 
     knot_times = (0.0,) + times + (seq.target,)
     knot_values = tuple(1.0 / i for i in range(1, len(times) + 2)) + (0.0,)
-    return YProcess(path=CadlagPath.piecewise_linear(knot_times, knot_values))
+    return YProcess(path=CadlagPath(knot_times, knot_values))
 
 
 def y_hitting_time(Y: YProcess) -> TimePoint:

@@ -1,11 +1,11 @@
-"""Jump-time models and the one-jump indicator process.
+"""Jump-time models and the semigroup of the one-jump indicator process.
 
-A JumpModel is its compensator: tau is drawn as the Cox time A^{-1}(Z) of an
-Exp(1) level Z, and its law is P(tau <= t) = 1 - exp(-A(t)).  Only the
-negative control draws tau through a different sampler compensator than the
-one it claims.  The catalog covers homogeneous and inhomogeneous arrival
-times, a Markov holding time, and a synthetic model whose compensator has a
-flat piece.
+A JumpModel is a name, its compensator A and an optional sampler: tau is
+drawn as the Cox time A^{-1}(Z) of an Exp(1) level Z, and its law is
+P(tau <= t) = 1 - exp(-A(t)).  Only the negative control sets a sampler,
+drawing tau through a different compensator than the one it claims.  The
+catalog covers homogeneous and inhomogeneous arrival times, a Markov holding
+time, and a synthetic model whose compensator has a flat piece.
 
 The indicator process X_t = 1_{t >= tau} (started at x, jumping to x + 1) is
 Feller; its semigroup has the closed form
@@ -30,7 +30,7 @@ from .compensators import (
     PowerCompensator,
     TabulatedCompensator,
 )
-from .core import CadlagPath, RngStream, TimeLike, TimePoint, as_timepoint, draw_exponential
+from .core import RngStream, TimeLike, TimePoint, as_timepoint, draw_exponential
 
 __all__ = [
     "C0_WITNESSES",
@@ -47,7 +47,6 @@ __all__ = [
     "feller_check",
     "flat_compensator_model",
     "gauss_bump",
-    "indicator_path",
     "inhomogeneous_model",
     "inverse_quad",
     "negative_control_model",
@@ -70,7 +69,6 @@ class JumpModel:
 
     name: str
     compensator: Compensator
-    metadata: str = ""
     sampler: Optional[Compensator] = None
 
     @property
@@ -131,7 +129,6 @@ def poisson_model(rate: float) -> JumpModel:
     return JumpModel(
         name=f"poisson(rate={rate:g})",
         compensator=LinearCompensator(rate),
-        metadata="first arrival of a homogeneous counting process; totally inaccessible",
     )
 
 
@@ -151,7 +148,6 @@ def inhomogeneous_model(cumulative_intensity: Compensator, name: str | None = No
     return JumpModel(
         name=name or f"inhomogeneous({type(A).__name__})",
         compensator=A,
-        metadata="first arrival with deterministic cumulative intensity, sampled by inversion",
     )
 
 
@@ -161,10 +157,6 @@ def ctmc_first_jump_model(exit_rate: float) -> JumpModel:
     return JumpModel(
         name=f"ctmc(exit_rate={exit_rate:g})",
         compensator=LinearCompensator(exit_rate),
-        metadata=(
-            "first jump out of state 'initial' of a continuous-time Markov chain; "
-            "the holding time is exponential with the exit rate"
-        ),
     )
 
 
@@ -183,7 +175,6 @@ def flat_compensator_model() -> JumpModel:
     return JumpModel(
         name="flat",
         compensator=A,
-        metadata="tabulated compensator with a flat piece on [1, 2]; exercises infimum semantics",
     )
 
 
@@ -196,7 +187,6 @@ def negative_control_model() -> JumpModel:
     return JumpModel(
         name="negative-control",
         compensator=LinearCompensator(1.0),
-        metadata="mismatched on purpose: the stated compensator is not the compensator of tau",
         sampler=LinearCompensator(2.0),
     )
 
@@ -248,14 +238,6 @@ def catalog_models() -> tuple[JumpModel, ...]:
 
 # --------------------------------------------------------------------------
 # indicator process and semigroup
-
-
-def indicator_path(tau: TimeLike) -> CadlagPath:
-    """The path t -> 1_{t >= tau}: 0 before tau, 1 from tau on."""
-    tp = as_timepoint(tau)
-    if not tp > 0:
-        raise ValueError("tau must be positive")
-    return CadlagPath.step(tp)
 
 
 def semigroup_apply(f: Callable[[float], float], t: TimeLike, x: float, law: IndicatorProcessLaw) -> float:

@@ -1,4 +1,4 @@
-"""Compensator forms, generalized inverses, and the time-change identities."""
+"""Compensator forms, generalized inverses, their array twins, and the CSV loader."""
 
 import math
 import warnings
@@ -15,7 +15,6 @@ from jumptime.compensators import (
     SaturatingExpCompensator,
     TabulatedCompensator,
     load_tabulated_csv,
-    time_change_check,
 )
 from jumptime.core import INFINITY, TimePoint
 
@@ -50,18 +49,11 @@ closed_forms = st.one_of(
     st.builds(SaturatingExpCompensator, st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
 )
 
-stopped_compensators = st.builds(
-    lambda A, tau: A.stop(tau),
-    closed_forms | tabulated_compensators(),
-    st.floats(0.1, 20.0) | st.just(INFINITY),
-)
-
 every_family = st.one_of(
     st.floats(0.1, 10.0).map(LinearCompensator),
     st.floats(1e-3, 20.0).map(PowerCompensator),
     st.builds(SaturatingExpCompensator, st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
     tabulated_compensators(),
-    stopped_compensators,
 )
 
 #: Times for bitwise checks, subnormals included.
@@ -90,7 +82,6 @@ EVERY_CLASS = (
     PowerCompensator(0.5),
     SaturatingExpCompensator(limit=1.0, rate=1.0),
     flat_table(),
-    LinearCompensator(1.0).stop(2.0),
 )
 
 
@@ -220,14 +211,20 @@ class TestTabulated:
 
     @given(tabulated_compensators(), probes, probes)
     @example(flat_table(), list(np.linspace(0.0, 6.0, 301)), list(np.linspace(0.0, 3.0, 301)))
+    @example(TabulatedCompensator((0.0, 1.0), (0.0, 1.0)), [2.0], [0.5])
     def test_vector_paths_match_scalar_paths(self, A, ts, ss):
-        # Probes sit on knots, inside flat pieces and beyond the last knot;
-        # both paths do the same float operations, so they agree exactly.
+        # Probes sit on knots, inside flat pieces and beyond the last knot
+        # (at +inf too when the table is bounded); both paths do the same
+        # float operations, so they agree exactly.
         ts = on_and_between(A.times) + ts
         ss = on_and_between(A.values) + ss
+        if math.isfinite(A.range_sup):
+            ts = ts + [math.inf]
         evaluated, inverted = scalar_paths(A, ts, ss)
-        np.testing.assert_array_equal(A.evaluate_many(np.array(ts)), evaluated)
-        np.testing.assert_array_equal(A.inverse_many(np.array(ss)), inverted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(A.evaluate_many(np.array(ts)), evaluated)
+            np.testing.assert_array_equal(A.inverse_many(np.array(ss)), inverted)
 
     def test_overflowing_inverse_names_slope_and_level(self):
         # range_sup is inf and 1 / 1e-320 is finite in exact arithmetic, so
@@ -280,39 +277,6 @@ class TestTabulated:
             TabulatedCompensator((0.0, 1.0), (0.0, 1.0), extrapolation_slope=-1.0)
 
 
-class TestStopped:
-    def test_freezes_after_the_stop(self):
-        A = LinearCompensator(1.0).stop(2.0)
-        assert A(1.0) == 1.0
-        assert A(2.0) == 2.0
-        assert A(5.0) == 2.0
-        assert A.range_sup == 2.0
-        assert A.evaluate(INFINITY) == 2.0
-
-    def test_inverse_respects_the_cap(self):
-        A = LinearCompensator(1.0).stop(2.0)
-        assert A.inverse(1.5) == TimePoint(1.5)
-        assert A.inverse(2.0) == TimePoint(2.0)
-        assert A.inverse(2.5) == INFINITY
-
-    def test_levels_above_the_supremum_never_reach_the_base(self):
-        # Both paths answer INFINITY; the base alone would overflow on 0.5.
-        A = LinearCompensator(1e-320).stop(1e300)
-        assert A.inverse(0.5) == INFINITY
-        assert A.inverse_many(np.array([0.5]))[0] == math.inf
-
-    def test_infinite_stop_changes_nothing(self):
-        A = LinearCompensator(3.0).stop(INFINITY)
-        assert A(10.0) == 30.0
-        assert A.range_sup == math.inf
-
-    def test_vectorized_evaluation(self):
-        A = PowerCompensator(2.0).stop(2.0)
-        np.testing.assert_array_equal(
-            A.evaluate_many(np.array([1.0, 2.0, 3.0])), np.array([1.0, 4.0, 4.0])
-        )
-
-
 class TestVectorPaths:
     def test_every_class_is_probed(self):
         assert {type(A) for A in EVERY_CLASS} == set(Compensator.__subclasses__())
@@ -333,7 +297,7 @@ class TestVectorPaths:
         with pytest.raises(ValueError):
             A.evaluate_many(np.array([0.5, bad]))
 
-    @given(closed_forms | stopped_compensators, probes, probes)
+    @given(closed_forms, probes, probes)
     def test_closed_forms_match_scalar_paths(self, A, ts, ss):
         # numpy's SIMD pow/expm1/log1p may differ from libm in the last bit.
         if math.isfinite(A.range_sup):
@@ -370,41 +334,6 @@ class TestGeneralizedInverseIdentities:
         levels = np.linspace(0.0, 3.0, 100)
         inverses = [A.inverse(float(s)) for s in levels]
         assert all(a <= b for a, b in zip(inverses, inverses[1:]))
-
-
-class TestTimeChangeCheck:
-    def test_holds_for_strictly_increasing_compensator(self):
-        A = LinearCompensator(1.0)
-        for tau, s in [(1.0, 1.0), (0.5, 0.25), (2.0, 3.0), (3.0, 0.1)]:
-            assert time_change_check(A, tau, s)
-
-    def test_holds_at_sampled_points_of_the_flat_model(self):
-        A = flat_table()
-        # taus of the form A^{-1}(z) avoid the interior of the flat piece
-        for tau, s in [(0.5, 0.25), (1.0, 1.0), (2.5, 1.0), (2.5, 1.5), (3.5, 0.7)]:
-            assert time_change_check(A, tau, s)
-
-    def test_fails_inside_a_flat_piece(self):
-        # tau = 1.5 sits strictly inside the flat piece [1, 2] and is
-        # unreachable by sampling from this compensator.  At s = 1 the
-        # indicator comparison breaks: A^{-1}(1) = 1 < 1.5 while
-        # s = 1 >= A(1.5) = 1, so the check reports the mismatch.
-        A = flat_table()
-        assert not time_change_check(A, 1.5, 1.0)
-
-    def test_rejects_bad_tau(self):
-        A = LinearCompensator(1.0)
-        with pytest.raises(ValueError):
-            time_change_check(A, INFINITY, 1.0)
-        with pytest.raises(ValueError):
-            time_change_check(A, 0.0, 1.0)
-
-    @given(
-        st.floats(min_value=1e-3, max_value=50.0),
-        st.floats(min_value=0.0, max_value=60.0),
-    )
-    def test_always_holds_for_linear(self, tau, s):
-        assert time_change_check(LinearCompensator(1.25), tau, s)
 
 
 class TestCsvLoader:

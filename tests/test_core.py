@@ -1,4 +1,4 @@
-"""Value types: time points, cadlag paths, and reproducible random streams."""
+"""Value types: time points, piecewise-linear paths, and reproducible random streams."""
 
 import math
 import operator
@@ -9,9 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jumptime.core import (
-    CONSTANT,
     INFINITY,
-    LINEAR,
     CadlagPath,
     RngStream,
     TimePoint,
@@ -56,11 +54,6 @@ class TestTimePoint:
         assert not (INFINITY < INFINITY)
         assert INFINITY >= INFINITY
 
-    def test_min(self):
-        assert TimePoint(3.0).min(TimePoint(1.0)) == TimePoint(1.0)
-        assert INFINITY.min(TimePoint(5.0)) == TimePoint(5.0)
-        assert INFINITY.min(INFINITY) == INFINITY
-
     def test_immutable_and_hashable(self):
         t = TimePoint(1.0)
         with pytest.raises(AttributeError):
@@ -92,50 +85,32 @@ class TestTimePoint:
 
 
 class TestCadlagPath:
-    def test_step_path_values(self):
-        path = CadlagPath.step(TimePoint(2.0))
-        assert path.evaluate(1.999) == 0.0
-        assert path.evaluate(2.0) == 1.0
-        assert path.evaluate(100.0) == 1.0
-        assert path.left_limit(2.0) == 0.0
-        assert path.terminal_value == 1.0
-
-    def test_step_at_infinity_never_jumps(self):
-        path = CadlagPath.step(INFINITY)
-        assert path.evaluate(0.0) == 0.0
-        assert path.evaluate(1e15) == 0.0
-
     def test_constant_path(self):
         path = CadlagPath.constant(3.0)
         assert path.evaluate(0.0) == 3.0
         assert path.evaluate(7.0) == 3.0
 
     def test_piecewise_linear_interpolates(self):
-        path = CadlagPath.piecewise_linear((0.0, 1.0), (1.0, 0.5))
+        path = CadlagPath(times=(0.0, 1.0), values=(1.0, 0.5))
         assert path.evaluate(0.0) == 1.0
         assert path.evaluate(0.5) == 0.75
         assert path.evaluate(1.0) == 0.5
         assert path.left_limit(1.0) == 0.5
 
     def test_right_continuity_at_every_knot(self):
-        path = CadlagPath(
-            times=(0.0, 1.0, 2.0),
-            values=(0.0, 1.0, 3.0),
-            kinds=(CONSTANT, LINEAR),
-        )
+        # The path is continuous: its value matches from both sides of every knot.
+        path = CadlagPath(times=(0.0, 1.0, 2.0, 4.0), values=(0.0, 1.0, 3.0, 2.0))
         for t in path.times:
-            approach = path.evaluate(t + 1e-12)
-            assert abs(approach - path.evaluate(t)) < 1e-9
+            assert abs(path.evaluate(t + 1e-12) - path.evaluate(t)) < 1e-9
+            if t > 0.0:
+                assert abs(path.evaluate(t - 1e-12) - path.evaluate(t)) < 1e-9
 
     def test_left_limit_sees_pre_jump_value(self):
-        path = CadlagPath(
-            times=(0.0, 1.0),
-            values=(0.0, 5.0),
-            kinds=(CONSTANT,),
-        )
-        assert path.left_limit(1.0) == 0.0
-        assert path.evaluate(1.0) == 5.0
-        assert path.left_limit(0.5) == 0.0
+        # A continuous path never jumps, so the left limit is the interpolated
+        # value: at knots, inside segments and past the last knot.
+        path = CadlagPath(times=(0.0, 1.0, 3.0), values=(4.0, 2.0, 1.0))
+        for t, value in ((1.0, 2.0), (3.0, 1.0), (0.5, 3.0), (2.0, 1.5), (10.0, 1.0)):
+            assert path.left_limit(t) == path.evaluate(t) == value
 
     def test_left_limit_at_zero_rejected(self):
         path = CadlagPath.constant(1.0)
@@ -144,18 +119,11 @@ class TestCadlagPath:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CadlagPath(times=(1.0,), values=(0.0,), kinds=())  # must start at 0
+            CadlagPath(times=(1.0,), values=(0.0,))  # must start at 0
         with pytest.raises(ValueError):
-            CadlagPath(times=(0.0, 0.0), values=(0.0, 1.0), kinds=(LINEAR,))
+            CadlagPath(times=(0.0, 0.0), values=(0.0, 1.0))
         with pytest.raises(ValueError):
-            CadlagPath(times=(0.0, 1.0), values=(0.0, 1.0), kinds=("spline",))
-        with pytest.raises(ValueError):
-            CadlagPath(times=(0.0, 1.0), values=(0.0,), kinds=(LINEAR,))
-
-    @given(st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
-    def test_step_is_an_indicator(self, t):
-        path = CadlagPath.step(TimePoint(5.0))
-        assert path.evaluate(t) == (1.0 if t >= 5.0 else 0.0)
+            CadlagPath(times=(0.0, 1.0), values=(0.0,))
 
 
 class TestRngStream:

@@ -156,27 +156,24 @@ class TestHittingTime:
         assert hit.value == 1.0
 
     def test_hand_built_path_hits_at_its_zero_knot(self):
-        from jumptime.core import LINEAR, CadlagPath
+        from jumptime.core import CadlagPath
         from jumptime.predictable import YProcess
 
-        path = CadlagPath(times=(0.0, 1.0), values=(1.0, 0.0), kinds=(LINEAR,))
+        path = CadlagPath(times=(0.0, 1.0), values=(1.0, 0.0))
         y = YProcess(path=path)
         assert y_hitting_time(y) == TimePoint(1.0)
         assert y.knot_levels == (1.0,) and y.target == TimePoint(1.0)
 
     def test_y_process_validation(self):
-        from jumptime.core import CONSTANT, LINEAR, CadlagPath
+        from jumptime.core import CadlagPath
         from jumptime.predictable import YProcess
 
-        increasing = CadlagPath(times=(0.0, 1.0), values=(0.0, 1.0), kinds=(LINEAR,))
+        increasing = CadlagPath(times=(0.0, 1.0), values=(0.0, 1.0))
         with pytest.raises(ValueError, match="nonincreasing"):
             YProcess(path=increasing)
-        positive_end = CadlagPath(times=(0.0, 1.0), values=(1.0, 0.5), kinds=(LINEAR,))
+        positive_end = CadlagPath(times=(0.0, 1.0), values=(1.0, 0.5))
         with pytest.raises(ValueError, match="end at exactly 0"):
             YProcess(path=positive_end)
-        jumpy = CadlagPath(times=(0.0, 1.0), values=(1.0, 0.0), kinds=(CONSTANT,))
-        with pytest.raises(ValueError, match="linear"):
-            YProcess(path=jumpy)
 
 
 class TestMakeAnnouncingSequence:

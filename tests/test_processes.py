@@ -1,4 +1,4 @@
-"""Model catalog, indicator process, semigroup, and Feller axiom checks."""
+"""Model catalog, the indicator semigroup, conditional expectations, and Feller checks."""
 
 import math
 
@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jumptime.compensators import PowerCompensator, SaturatingExpCompensator
-from jumptime.core import INFINITY, RngStream, TimePoint
+from jumptime.core import RngStream, TimePoint
 from jumptime.processes import (
     C0_WITNESSES,
     DEFAULT_T_SCHEDULE,
@@ -22,7 +22,6 @@ from jumptime.processes import (
     feller_check,
     flat_compensator_model,
     gauss_bump,
-    indicator_path,
     inhomogeneous_model,
     inverse_quad,
     negative_control_model,
@@ -91,9 +90,6 @@ class TestCtmcModel:
         assert ctmc_first_jump_model(0.5).tau_cdf(2.0) == pytest.approx(
             1.0 - math.exp(-1.0)
         )
-
-    def test_metadata_mentions_the_chain(self):
-        assert "Markov" in ctmc_first_jump_model(1.0).metadata
 
 
 class TestFlatModel:
@@ -171,29 +167,6 @@ class TestCatalog:
             i = np.arange(1, n + 1)
             ks = np.maximum(np.abs(i / n - ref), np.abs((i - 1) / n - ref)).max()
             assert ks < band, model.name
-
-
-class TestIndicatorPath:
-    def test_step_shape(self):
-        path = indicator_path(TimePoint(2.0))
-        assert path.evaluate(2.0) == 1.0
-        assert path.evaluate(1.999) == 0.0
-        assert path.left_limit(2.0) == 0.0
-
-    def test_values_are_binary_and_nondecreasing(self):
-        path = indicator_path(0.75)
-        grid = np.linspace(0.0, 3.0, 301)
-        vals = [path.evaluate(float(t)) for t in grid]
-        assert set(vals) <= {0.0, 1.0}
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_rejects_zero_tau(self):
-        with pytest.raises(ValueError):
-            indicator_path(0.0)
-
-    def test_infinite_tau_never_jumps(self):
-        path = indicator_path(INFINITY)
-        assert path.evaluate(1e12) == 0.0
 
 
 class TestSemigroup:
