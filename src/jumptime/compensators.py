@@ -13,6 +13,7 @@ import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -27,6 +28,9 @@ __all__ = [
     "load_tabulated_csv",
 ]
 
+_UNBOUNDED_AT_INFINITY = "A(infinity) is undefined for an unbounded compensator"
+
+
 class Compensator(abc.ABC):
     """Shared contract: A(0) = 0, nondecreasing, continuous."""
 
@@ -38,13 +42,17 @@ class Compensator(abc.ABC):
         tp = as_timepoint(t)
         if not tp.is_finite:
             if math.isinf(self.range_sup):
-                raise ValueError("A(infinity) is undefined for an unbounded compensator")
+                raise ValueError(_UNBOUNDED_AT_INFINITY)
             return self.range_sup
         return self._evaluate_finite(tp.value)
 
     @abc.abstractmethod
     def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized A over an array of finite times; negative or NaN times raise."""
+        """Vectorized A over an array of times; rejects the times ``evaluate`` rejects."""
+
+    @abc.abstractmethod
+    def evaluate_exact(self, ts: np.ndarray) -> np.ndarray:
+        """``evaluate`` over an array of times, bit for bit, raising where it raises."""
 
     @abc.abstractmethod
     def _evaluate_finite(self, t: float) -> float: ...
@@ -57,8 +65,25 @@ class Compensator(abc.ABC):
     def inverse_many(self, ss: np.ndarray) -> np.ndarray:
         """Vectorized generalized inverse (times as floats, inf when never)."""
 
+    @abc.abstractmethod
+    def inverse_exact(self, ss: np.ndarray) -> np.ndarray:
+        """``inverse`` over an array of levels, bit for bit, as floats.
+
+        inf stands for INFINITY, and also for a tau past the float range,
+        where ``inverse`` raises OverflowError: an unbounded A reaches every
+        finite level, so there an infinite tau is always that overflow.
+        """
+
     def __call__(self, t: TimeLike) -> float:
         return self.evaluate(t)
+
+    def _check_times(self, ts) -> np.ndarray:
+        """Array twin of ``evaluate``'s check: negative and NaN times raise, and so
+        does infinity when A is unbounded."""
+        ts = _check_nonnegative(ts, "times")
+        if math.isinf(self.range_sup) and np.isinf(ts).any():
+            raise ValueError(_UNBOUNDED_AT_INFINITY)
+        return ts
 
 
 def _check_level(s: float) -> float:
@@ -74,6 +99,25 @@ def _check_nonnegative(xs, what: str = "levels") -> np.ndarray:
     if not np.all(xs >= 0.0):
         raise ValueError(f"{what} must be nonnegative reals")
     return xs
+
+
+def _refuse_overflow(A: Compensator, ss, taus: np.ndarray) -> np.ndarray:
+    """``A.inverse_exact``'s taus, after raising ``A._overflow`` at the first
+    finite level whose tau overflowed (only an unbounded A has one)."""
+    overflowed = np.isinf(taus) & np.isfinite(ss)
+    if math.isinf(A.range_sup) and overflowed.any():
+        raise A._overflow(float(np.asarray(ss)[overflowed.argmax()]))
+    return taus
+
+
+def _libm_each(f, xs: np.ndarray, *args: float) -> np.ndarray:
+    """``f(x, *args)`` for each x, through libm as the scalar methods take it.
+
+    numpy's SIMD pow, expm1 and log1p differ from libm in the last bit on
+    some inputs, so the array methods that must carry the scalar bits map
+    the ``math`` function element by element (as ``core`` does for the log).
+    """
+    return np.fromiter(map(f, xs.tolist(), *map(repeat, args)), float, len(xs))
 
 
 @dataclass(frozen=True)
@@ -92,7 +136,10 @@ class LinearCompensator(Compensator):
         return self.rate * t
 
     def evaluate_many(self, ts):
-        return self.rate * _check_nonnegative(ts, "times")
+        return self.rate * self._check_times(ts)
+
+    # Correctly rounded arithmetic only, so the array methods carry the scalar bits.
+    evaluate_exact = evaluate_many
 
     def _overflow(self, s: float) -> OverflowError:
         # The true tau is finite, so INFINITY would be a wrong answer.
@@ -104,16 +151,12 @@ class LinearCompensator(Compensator):
             raise self._overflow(s)
         return TimePoint(tau)
 
-    def inverse_many(self, ss):
-        ss = _check_nonnegative(ss)
+    def inverse_exact(self, ss):
         with np.errstate(over="ignore"):
-            taus = ss / self.rate
-        overflowed = np.isinf(taus)
-        if overflowed.any():
-            finite_levels = overflowed & np.isfinite(ss)
-            if finite_levels.any():
-                raise self._overflow(float(ss[finite_levels.argmax()]))
-        return taus
+            return _check_nonnegative(ss) / self.rate
+
+    def inverse_many(self, ss):
+        return _refuse_overflow(self, ss, self.inverse_exact(ss))
 
 
 @dataclass(frozen=True)
@@ -131,8 +174,16 @@ class PowerCompensator(Compensator):
     def _evaluate_finite(self, t: float) -> float:
         return t**self.exponent
 
+    # numpy's pow differs from libm's in the last bit (on about 80 of 1e5
+    # draws at exponent 2, inverse and evaluate alike).  Verify reports keep
+    # the numpy methods; ``*_exact`` maps libm's pow, as the scalar ``**``
+    # takes it.
+
     def evaluate_many(self, ts):
-        return _check_nonnegative(ts, "times") ** self.exponent
+        return self._check_times(ts) ** self.exponent
+
+    def evaluate_exact(self, ts):
+        return _libm_each(math.pow, self._check_times(ts), self.exponent)
 
     def inverse(self, s: float) -> TimePoint:
         try:
@@ -147,6 +198,22 @@ class PowerCompensator(Compensator):
         # Small exponents overflow to inf; callers that need tau < inf check for it.
         with np.errstate(over="ignore"):
             return _check_nonnegative(ss) ** (1.0 / self.exponent)
+
+    def inverse_exact(self, ss):
+        ss = _check_nonnegative(ss)
+        power = 1.0 / self.exponent
+        try:
+            return _libm_each(math.pow, ss, power)
+        except OverflowError:
+            # Past the float range the scalar raises; inf stands for it here.
+            return _libm_each(_pow_or_inf, ss, power)
+
+
+def _pow_or_inf(x: float, p: float) -> float:
+    try:
+        return math.pow(x, p)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -169,8 +236,17 @@ class SaturatingExpCompensator(Compensator):
     def _evaluate_finite(self, t: float) -> float:
         return self.limit * -math.expm1(-self.rate * t)
 
+    # numpy's expm1 and log1p differ from libm's in the last bit.  Verify
+    # reports keep the numpy methods; ``*_exact`` maps libm's, with the
+    # correctly rounded + - * / left to numpy.
+
     def evaluate_many(self, ts):
-        return self.limit * -np.expm1(-self.rate * _check_nonnegative(ts, "times"))
+        return self.limit * -np.expm1(-self.rate * self._check_times(ts))
+
+    def evaluate_exact(self, ts):
+        with np.errstate(over="ignore"):
+            exponents = -self.rate * self._check_times(ts)
+        return self.limit * -_libm_each(math.expm1, exponents)
 
     def inverse(self, s: float) -> TimePoint:
         s = _check_level(s)
@@ -184,6 +260,13 @@ class SaturatingExpCompensator(Compensator):
         with np.errstate(divide="ignore", invalid="ignore"):
             finite = -np.log1p(-ss / self.limit) / self.rate
         return np.where(ss >= self.limit, math.inf, finite)
+
+    def inverse_exact(self, ss):
+        ss = _check_nonnegative(ss)
+        reached = ss < self.limit
+        logs = _libm_each(math.log1p, np.where(reached, -ss / self.limit, 0.0))
+        with np.errstate(over="ignore"):
+            return np.where(reached, -logs / self.rate, math.inf)
 
 
 def _lerp(x: float, x0: float, x1: float, y0: float, y1: float) -> float:
@@ -271,7 +354,7 @@ class TabulatedCompensator(Compensator):
         return _lerp(t, self.times[i], self.times[i + 1], self.values[i], self.values[i + 1])
 
     def evaluate_many(self, ts):
-        ts = _check_nonnegative(ts, "times")
+        ts = self._check_times(ts)
         times = np.asarray(self.times)
         values = np.asarray(self.values)
         i = np.maximum(np.searchsorted(times, ts, side="right") - 1, 0)
@@ -282,6 +365,9 @@ class TabulatedCompensator(Compensator):
         # A bounded table's tail is its last value, at +inf too (0 * inf is nan).
         tail = values[-1] + slope * (ts - times[-1]) if slope > 0.0 else values[-1]
         return np.where(ts >= times[-1], tail, out)
+
+    # Correctly rounded arithmetic only, so the array methods carry the scalar bits.
+    evaluate_exact = evaluate_many
 
     def _overflow(self, s: float) -> OverflowError:
         # The true tau is finite, so INFINITY would be a wrong answer.
@@ -308,7 +394,7 @@ class TabulatedCompensator(Compensator):
         values, times = self.values, self.times
         return TimePoint(_lerp(s, values[j - 1], values[j], times[j - 1], times[j]))
 
-    def inverse_many(self, ss):
+    def inverse_exact(self, ss):
         ss = _check_nonnegative(ss)
         times = np.asarray(self.times)
         values = np.asarray(self.values)
@@ -323,13 +409,13 @@ class TabulatedCompensator(Compensator):
             if slope > 0.0:
                 with np.errstate(over="ignore"):
                     tail = times[-1] + (ss - values[-1]) / slope
-                overflowed = above & np.isinf(tail) & np.isfinite(ss)
-                if overflowed.any():
-                    raise self._overflow(float(ss[overflowed.argmax()]))
             else:
-                tail = np.full_like(ss, math.inf)
+                tail = math.inf
             out = np.where(above, tail, out)
         return out
+
+    def inverse_many(self, ss):
+        return _refuse_overflow(self, ss, self.inverse_exact(ss))
 
 
 def load_tabulated_csv(path, extrapolation_slope: float = 0.0) -> TabulatedCompensator:

@@ -9,10 +9,11 @@ tau is finite, because a continuous A attains the level it crosses.
 ``cox_samples`` yields the same samples for stream ids 0..n-1, and
 ``write_cox_rows`` writes them as ``cox-demo``'s rows.  Both take their
 levels from ``exponential_blocks`` (vectorised Philox blocks) and map each
-through the same scalar ``A.inverse`` and ``A.evaluate`` as ``cox_sample``,
-so they agree with it bit for bit.  ``CoxSample.to_json_dict`` is the
+block through ``A.inverse_exact`` and ``A.evaluate_exact``, the array forms
+of the scalar ``A.inverse`` and ``A.evaluate`` with the same bits, so they
+agree with ``cox_sample`` bit for bit.  ``CoxSample.to_json_dict`` is the
 reference form of a row, and ``_COX_FORMATS`` holds the same row as the
-templates ``write_cox_rows`` fills.
+templates ``write_cox_rows`` fills column by column.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
+
+import numpy as np
 
 from .compensators import Compensator
 from .core import (
@@ -69,10 +72,10 @@ class CoxSample:
 #: ``to_json_dict``'s rows as ``write_cox_rows`` writes them, per format: the
 #: header, the row template with its SEED still to be filled in (a decimal
 #: integer needs no JSON escaping or CSV quoting), and an infinite tau.  The
-#: floats come as their ``repr``, which is what ``json.dumps`` and
-#: ``csv.writer`` emit for finite floats; z and a_at_tau are always finite
-#: (a_at_tau is z up to roundoff, or the compensator's finite supremum when
-#: tau is infinite).
+#: floats come as the ``repr`` of the array columns' elements, which is what
+#: ``json.dumps`` and ``csv.writer`` emit for finite floats; z and a_at_tau
+#: are always finite (a_at_tau is z up to roundoff, or the compensator's
+#: finite supremum when tau is infinite).
 _COX_FORMATS = {
     "json": (
         "",
@@ -98,42 +101,72 @@ def cox_sample(A: Compensator, stream: RngStream) -> CoxSample:
     return CoxSample(z=z, tau=tau, a_at_tau=A.evaluate(tau), stream=stream)
 
 
+def _cox_blocks(A: Compensator, seed: int, n: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Levels, taus and A(taus) of streams 0..n-1, one draw block at a time.
+
+    The columns carry the bits of the scalar ``A.inverse`` and ``A.evaluate``
+    (inf for INFINITY).  A block that holds a level whose tau overflows a
+    float is cut before that level; after it is yielded, that level's scalar
+    row raises, as ``cox_sample`` would.
+    """
+    unbounded = math.isinf(A.range_sup)
+    for levels in exponential_blocks(seed, n):
+        taus = A.inverse_exact(levels)
+        stop = len(taus)
+        if unbounded:
+            # An unbounded A reaches every level, so an infinite tau overflowed.
+            overflowed = np.isinf(taus)
+            if overflowed.any():
+                stop = int(overflowed.argmax())
+        yield levels[:stop], taus[:stop], A.evaluate_exact(taus[:stop])
+        if stop < len(taus):
+            # The scalar row of that level: inverse raises the named OverflowError.
+            A.evaluate(A.inverse(float(levels[stop])))
+
+
 def cox_samples(A: Compensator, seed: int, n: int) -> Iterator[CoxSample]:
     """``cox_sample(A, RngStream(seed, k))`` for k = 0..n-1, lazily.
 
-    The levels come one block at a time, so memory stays flat in n; each
-    sample is built as it is asked for.  Every level is positive, so
-    ``cox_time``'s check is skipped and it goes straight to ``A.inverse``.
+    The samples are mapped one draw block at a time, so memory stays flat
+    in n; each ``CoxSample`` is built as it is asked for.
     """
-    levels = chain.from_iterable(block.tolist() for block in exponential_blocks(seed, n))
-    for k, z in enumerate(levels):
-        tau = A.inverse(z)
-        yield CoxSample(z=z, tau=tau, a_at_tau=A.evaluate(tau), stream=RngStream(seed, k))
+    rows = chain.from_iterable(
+        zip(*(column.tolist() for column in block)) for block in _cox_blocks(A, seed, n)
+    )
+    for k, (z, tau, a_at_tau) in enumerate(rows):
+        yield CoxSample(z=z, tau=TimePoint(tau), a_at_tau=a_at_tau, stream=RngStream(seed, k))
 
 
 def write_cox_rows(fh, A: Compensator, seed: int, n: int, fmt: str) -> None:
     """Write ``cox_sample(A, RngStream(seed, k)).to_json_dict()`` for k < n as ``fmt`` rows.
 
-    Each block of ``exponential_blocks`` is rendered through one row template
-    and written with one call, so memory stays flat in n; the rows rendered
-    before a mid-block error (a jump time that overflows a float) are written
-    before the error propagates.
+    Each block of ``exponential_blocks`` is rendered column by column
+    through one row template and handed to one ``writelines`` call, so
+    memory stays flat in n; the rows before a level whose jump time
+    overflows a float are written before the error propagates.
     """
     header, row, infinity = _COX_FORMATS[fmt]
     template = row.replace("SEED", str(seed))
-    inverse, evaluate = A.inverse, A.evaluate
     fh.write(header)
     start = 0
-    for block in exponential_blocks(seed, n):
-        rows = []
-        try:
-            for k, z in enumerate(block.tolist(), start):
-                tau = inverse(z)
-                tau_text = repr(tau.value) if tau.is_finite else infinity
-                rows.append(template % (repr(z), tau_text, repr(evaluate(tau)), k))
-        finally:
-            fh.write("".join(rows))
-        start += len(rows)
+    for levels, taus, a_taus in _cox_blocks(A, seed, n):
+        z_text = list(map(repr, levels.tolist()))
+        tau_text = map(repr, taus.tolist())
+        never = np.flatnonzero(np.isinf(taus)).tolist()
+        if never:
+            tau_text = list(tau_text)
+            for i in never:
+                tau_text[i] = infinity
+        # A(tau) is z itself on many rows; only the others need their own text.
+        a_text = z_text.copy()
+        moved = np.flatnonzero(a_taus != levels)
+        for i, text in zip(moved.tolist(), map(repr, a_taus[moved].tolist())):
+            a_text[i] = text
+        ids = range(start, start + len(z_text))
+        # One call per block, but no block-sized string: joining the rows
+        # first would add a few MB to the peak memory.
+        fh.writelines(map(template.__mod__, zip(z_text, tau_text, a_text, ids)))
+        start += len(z_text)
 
 
 def cox_round_trip(A: Compensator, tau: TimeLike) -> TimePoint:

@@ -56,6 +56,21 @@ every_family = st.one_of(
     tabulated_compensators(),
 )
 
+def decades(lo: float, hi: float):
+    """Positive floats spread evenly over the decades from 10**lo to 10**hi."""
+    return st.floats(lo, hi).map(lambda d: 10.0**d)
+
+
+#: Every class with parameters across decades: tiny linear rates and small
+#: power exponents overflow on some levels, small saturating limits and
+#: bounded tables leave high levels never reached.
+exact_families = st.one_of(
+    decades(-320.0, 3.0).map(LinearCompensator),
+    decades(-3.0, 1.5).map(PowerCompensator),
+    st.builds(SaturatingExpCompensator, decades(-3.0, 3.0), decades(-3.0, 3.0)),
+    tabulated_compensators(),
+)
+
 #: Times for bitwise checks, subnormals included.
 element_times = st.just(0.0) | st.floats(0.0, 1e3, allow_subnormal=True)
 
@@ -83,6 +98,19 @@ EVERY_CLASS = (
     SaturatingExpCompensator(limit=1.0, rate=1.0),
     flat_table(),
 )
+
+#: Each class with each time its scalar ``evaluate`` rejects: negative, NaN,
+#: and infinity when the compensator is unbounded.
+REJECTED_TIMES = [
+    pytest.param(A, bad, id=f"{bad}-{type(A).__name__}")
+    for bad in (-1.0, math.nan, math.inf)
+    for A in EVERY_CLASS
+    if bad != math.inf or math.isinf(A.range_sup)
+]
+
+
+def bits(xs) -> np.ndarray:
+    return np.asarray(xs, float).view(np.uint64)
 
 
 class TestLinear:
@@ -289,13 +317,23 @@ class TestVectorPaths:
         with pytest.raises(ValueError):
             A.inverse_many(np.array([0.5, bad]))
 
-    @pytest.mark.parametrize("A", EVERY_CLASS, ids=lambda A: type(A).__name__)
-    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("A,bad", REJECTED_TIMES)
     def test_array_evaluate_rejects_what_the_scalar_rejects(self, A, bad):
         with pytest.raises(ValueError):
             A.evaluate(bad)
-        with pytest.raises(ValueError):
-            A.evaluate_many(np.array([0.5, bad]))
+        for array_path in (A.evaluate_many, A.evaluate_exact):
+            with pytest.raises(ValueError):
+                array_path(np.array([0.5, bad]))
+
+    @pytest.mark.parametrize(
+        "A",
+        [SaturatingExpCompensator(limit=1.0, rate=1.0), TabulatedCompensator((0.0, 1.0), (0.0, 1.0))],
+        ids=lambda A: type(A).__name__,
+    )
+    def test_bounded_array_evaluate_gives_the_supremum_at_infinity(self, A):
+        assert A.evaluate(INFINITY) == A.range_sup
+        for array_path in (A.evaluate_many, A.evaluate_exact):
+            np.testing.assert_array_equal(array_path(np.array([math.inf])), [A.range_sup])
 
     @given(closed_forms, probes, probes)
     def test_closed_forms_match_scalar_paths(self, A, ts, ss):
@@ -316,6 +354,50 @@ class TestVectorPaths:
         together = A.evaluate_many(xs).view(np.uint64)
         alone = [A.evaluate_many(xs[k : k + 1]).view(np.uint64)[0] for k in range(len(xs))]
         np.testing.assert_array_equal(together, alone)
+
+
+class TestExactPaths:
+    """``inverse_exact`` and ``evaluate_exact`` against the scalar methods, bit for bit."""
+
+    @given(
+        exact_families,
+        st.lists(st.just(0.0) | st.floats(0.0, 50.0), min_size=1, max_size=40),
+        st.lists(element_times, min_size=1, max_size=40),
+    )
+    # Levels and times where numpy's pow, log1p and expm1 differ from libm's
+    # in the last bit, so a numpy shortcut fails here.
+    @example(PowerCompensator(2.0), [0.10836941080951759, 1.480911988623286], [0.6576526478313247])
+    @example(PowerCompensator(0.5), [4.63221944483097, 2.2210522455050437], [1.0])
+    @example(
+        SaturatingExpCompensator(10.0, 1.0),
+        [0.48912777081375713, 0.7344712119389554],
+        [0.2752473290376329, 0.4144007952317973],
+    )
+    def test_exact_paths_carry_the_scalar_bits(self, A, ss, ts):
+        if math.isfinite(A.range_sup):
+            ss = ss + [A.range_sup, 2.0 * A.range_sup]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            taus = A.inverse_exact(np.array(ss))
+            expected, mapped = [], []
+            for s, tau in zip(ss, taus.tolist()):
+                try:
+                    want = A.inverse(s)
+                except OverflowError:
+                    # Only an unbounded A overflows, and inf stands for it.
+                    assert math.isinf(A.range_sup) and tau == math.inf
+                    expected.append(math.inf)
+                    continue
+                expected.append(want.value if want.is_finite else math.inf)
+                mapped.append(tau)
+                if s > A.range_sup:
+                    assert tau == math.inf
+            np.testing.assert_array_equal(bits(taus), bits(expected))
+            # A(tau) at every tau that is not an overflow (a bounded A's
+            # infinite taus give its supremum) and at free times.
+            times = mapped + ts
+            evaluated = A.evaluate_exact(np.array(times))
+        np.testing.assert_array_equal(bits(evaluated), bits([A.evaluate(t) for t in times]))
 
 
 class TestGeneralizedInverseIdentities:

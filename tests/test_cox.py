@@ -14,6 +14,7 @@ from jumptime.compensators import (
     LinearCompensator,
     PowerCompensator,
     SaturatingExpCompensator,
+    TabulatedCompensator,
 )
 from jumptime.core import INFINITY, RngStream, TimePoint
 from jumptime.cox import cox_round_trip, cox_sample, cox_samples, cox_time, write_cox_rows
@@ -25,10 +26,46 @@ STREAM_COMPENSATORS = [m.compensator for m in catalog_models()] + [
 ]
 
 
+def decades(lo: float, hi: float):
+    """Positive floats spread evenly over the decades from 10**lo to 10**hi."""
+    return st.floats(lo, hi).map(lambda d: 10.0**d)
+
+
+#: Every class with parameters across decades: tiny linear rates, small
+#: power exponents and tiny table slopes overflow on some levels, small
+#: saturating limits and bounded tables leave some levels never reached.
+random_compensators = st.one_of(
+    (decades(-320.0, -306.0) | decades(-3.0, 2.0)).map(LinearCompensator),
+    (decades(-3.0, -2.5) | decades(-2.5, 1.5)).map(PowerCompensator),
+    st.builds(SaturatingExpCompensator, decades(-3.0, 2.0), decades(-3.0, 2.0)),
+    st.builds(
+        TabulatedCompensator,
+        st.just((0.0, 1.0, 2.0, 3.0)),
+        st.just((0.0, 1.0, 1.0, 1.5)),
+        st.just(0.0) | decades(-320.0, -306.0) | decades(-3.0, 1.0),
+    ),
+)
+
+
+def reference_outcome(A, seed: int, n: int, fmt: str) -> tuple[str, str | None]:
+    """``reference_text`` up to the first stream whose scalar row overflows, and its error."""
+    rows = []
+    for k in range(n):
+        try:
+            rows.append(cox_sample(A, RngStream(seed, k)))
+        except OverflowError as exc:
+            return render(rows, fmt), str(exc)
+    return render(rows, fmt), None
+
 
 def reference_text(A, seed: int, n: int, fmt: str) -> str:
     """``write_cox_rows``'s output for streams 0..n-1, written the reference way."""
-    rows = [cox_sample(A, RngStream(seed, k)).to_json_dict() for k in range(n)]
+    return render([cox_sample(A, RngStream(seed, k)) for k in range(n)], fmt)
+
+
+def render(samples, fmt: str) -> str:
+    """``to_json_dict`` of each sample through ``json.dumps`` or ``csv.writer``."""
+    rows = [sample.to_json_dict() for sample in samples]
     if fmt == "json":
         return "".join(json.dumps(row) + "\n" for row in rows)
     buf = io.StringIO()
@@ -124,6 +161,22 @@ class TestCoxSamples:
             got = list(cox_samples(A, seed, n))
         assert got == [cox_sample(A, RngStream(seed, k)) for k in range(n)]
 
+    @given(
+        random_compensators,
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_random_compensators_equal_the_scalar_reference(self, A, seed, n, block):
+        got, error = [], None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_DRAW_BLOCK", block)
+            try:
+                got.extend(cox_samples(A, seed, n))
+            except OverflowError as exc:
+                error = str(exc)
+        assert (render(got, "json"), error) == reference_outcome(A, seed, n, "json")
+
     def test_bounded_compensator_streams_infinite_rows(self):
         A = STREAM_COMPENSATORS[-1]
         rows = [s.to_json_dict() for s in cox_samples(A, 3, 50)]
@@ -168,6 +221,24 @@ class TestWriteCoxRows:
             mp.setattr(core, "_DRAW_BLOCK", block)
             write_cox_rows(buf, A, seed, n, fmt)
         assert buf.getvalue() == reference_text(A, seed, n, fmt)
+
+    @given(
+        random_compensators,
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from(["json", "csv"]),
+    )
+    def test_random_compensators_equal_the_scalar_reference(self, A, seed, n, block, fmt):
+        # The rows before an overflowing level, then the scalar row's error.
+        buf, error = io.StringIO(), None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_DRAW_BLOCK", block)
+            try:
+                write_cox_rows(buf, A, seed, n, fmt)
+            except OverflowError as exc:
+                error = str(exc)
+        assert (buf.getvalue(), error) == reference_outcome(A, seed, n, fmt)
 
 
 class TestRoundTrip:
