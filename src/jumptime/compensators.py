@@ -70,9 +70,21 @@ class Compensator(abc.ABC):
         """``inverse`` over an array of levels, bit for bit, as floats.
 
         inf stands for INFINITY, and also for a tau past the float range,
-        where ``inverse`` raises OverflowError: an unbounded A reaches every
-        finite level, so there an infinite tau is always that overflow.
+        where ``inverse`` raises OverflowError (see ``first_overflow``).
         """
+
+    def first_overflow(self, ss, taus: np.ndarray) -> int | None:
+        """Index of the first finite level whose ``inverse_exact`` tau
+        overflowed a float, where ``inverse`` raises; None when there is none.
+
+        Only an unbounded A has one: it reaches every finite level, so an
+        infinite tau at a finite level is always that overflow.
+        """
+        if math.isinf(self.range_sup):
+            overflowed = np.isinf(taus) & np.isfinite(ss)
+            if overflowed.any():
+                return int(overflowed.argmax())
+        return None
 
     def __call__(self, t: TimeLike) -> float:
         return self.evaluate(t)
@@ -102,11 +114,10 @@ def _check_nonnegative(xs, what: str = "levels") -> np.ndarray:
 
 
 def _refuse_overflow(A: Compensator, ss, taus: np.ndarray) -> np.ndarray:
-    """``A.inverse_exact``'s taus, after raising ``A._overflow`` at the first
-    finite level whose tau overflowed (only an unbounded A has one)."""
-    overflowed = np.isinf(taus) & np.isfinite(ss)
-    if math.isinf(A.range_sup) and overflowed.any():
-        raise A._overflow(float(np.asarray(ss)[overflowed.argmax()]))
+    """``A.inverse_exact``'s taus, after raising ``A._overflow`` at ``A.first_overflow``."""
+    stop = A.first_overflow(ss, taus)
+    if stop is not None:
+        raise A._overflow(float(np.asarray(ss)[stop]))
     return taus
 
 
@@ -200,16 +211,11 @@ class PowerCompensator(Compensator):
             return _check_nonnegative(ss) ** (1.0 / self.exponent)
 
     def inverse_exact(self, ss):
-        ss = _check_nonnegative(ss)
-        power = 1.0 / self.exponent
-        try:
-            return _libm_each(math.pow, ss, power)
-        except OverflowError:
-            # Past the float range the scalar raises; inf stands for it here.
-            return _libm_each(_pow_or_inf, ss, power)
+        return _libm_each(_pow_or_inf, _check_nonnegative(ss), 1.0 / self.exponent)
 
 
 def _pow_or_inf(x: float, p: float) -> float:
+    """libm's pow, with inf past the float range, where the scalar ``**`` raises."""
     try:
         return math.pow(x, p)
     except OverflowError:

@@ -107,21 +107,15 @@ def _cox_blocks(A: Compensator, seed: int, n: int) -> Iterator[tuple[np.ndarray,
     The columns carry the bits of the scalar ``A.inverse`` and ``A.evaluate``
     (inf for INFINITY).  A block that holds a level whose tau overflows a
     float is cut before that level; after it is yielded, that level's scalar
-    row raises, as ``cox_sample`` would.
+    inverse raises, as ``cox_sample`` would.
     """
-    unbounded = math.isinf(A.range_sup)
     for levels in exponential_blocks(seed, n):
         taus = A.inverse_exact(levels)
-        stop = len(taus)
-        if unbounded:
-            # An unbounded A reaches every level, so an infinite tau overflowed.
-            overflowed = np.isinf(taus)
-            if overflowed.any():
-                stop = int(overflowed.argmax())
+        stop = A.first_overflow(levels, taus)  # None slices the whole block
         yield levels[:stop], taus[:stop], A.evaluate_exact(taus[:stop])
-        if stop < len(taus):
-            # The scalar row of that level: inverse raises the named OverflowError.
-            A.evaluate(A.inverse(float(levels[stop])))
+        if stop is not None:
+            # The scalar inverse of that level raises the named OverflowError.
+            A.inverse(float(levels[stop]))
 
 
 def cox_samples(A: Compensator, seed: int, n: int) -> Iterator[CoxSample]:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import decades
 from jumptime import core
 from jumptime.compensators import (
     LinearCompensator,
@@ -24,11 +25,6 @@ from jumptime.processes import catalog_models, flat_compensator_model
 STREAM_COMPENSATORS = [m.compensator for m in catalog_models()] + [
     SaturatingExpCompensator(limit=0.5, rate=1.0)
 ]
-
-
-def decades(lo: float, hi: float):
-    """Positive floats spread evenly over the decades from 10**lo to 10**hi."""
-    return st.floats(lo, hi).map(lambda d: 10.0**d)
 
 
 #: Every class with parameters across decades: tiny linear rates, small
@@ -47,20 +43,16 @@ random_compensators = st.one_of(
 )
 
 
-def reference_outcome(A, seed: int, n: int, fmt: str) -> tuple[str, str | None]:
-    """``reference_text`` up to the first stream whose scalar row overflows, and its error."""
-    rows = []
+def reference_samples(A, seed: int, n: int) -> tuple[list, str | None]:
+    """``cox_sample`` of streams 0..n-1 up to the first whose scalar row
+    overflows, and that row's error (None when no row overflows)."""
+    samples = []
     for k in range(n):
         try:
-            rows.append(cox_sample(A, RngStream(seed, k)))
+            samples.append(cox_sample(A, RngStream(seed, k)))
         except OverflowError as exc:
-            return render(rows, fmt), str(exc)
-    return render(rows, fmt), None
-
-
-def reference_text(A, seed: int, n: int, fmt: str) -> str:
-    """``write_cox_rows``'s output for streams 0..n-1, written the reference way."""
-    return render([cox_sample(A, RngStream(seed, k)) for k in range(n)], fmt)
+            return samples, str(exc)
+    return samples, None
 
 
 def render(samples, fmt: str) -> str:
@@ -149,25 +141,14 @@ class TestCoxSamples:
     """The block stream against the per-row scalar reference."""
 
     @given(
-        st.sampled_from(STREAM_COMPENSATORS),
+        st.sampled_from(STREAM_COMPENSATORS) | random_compensators,
         st.integers(min_value=0, max_value=2**64 - 1),
         st.integers(min_value=0, max_value=40),
         st.integers(min_value=1, max_value=8),
     )
     def test_equals_the_scalar_reference(self, A, seed, n, block):
         # A small block makes most cases cross one or more block boundaries.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_DRAW_BLOCK", block)
-            got = list(cox_samples(A, seed, n))
-        assert got == [cox_sample(A, RngStream(seed, k)) for k in range(n)]
-
-    @given(
-        random_compensators,
-        st.integers(min_value=0, max_value=2**64 - 1),
-        st.integers(min_value=0, max_value=40),
-        st.integers(min_value=1, max_value=8),
-    )
-    def test_random_compensators_equal_the_scalar_reference(self, A, seed, n, block):
+        # Where a level overflows, the samples before it come, then its error.
         got, error = [], None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "_DRAW_BLOCK", block)
@@ -175,7 +156,7 @@ class TestCoxSamples:
                 got.extend(cox_samples(A, seed, n))
             except OverflowError as exc:
                 error = str(exc)
-        assert (render(got, "json"), error) == reference_outcome(A, seed, n, "json")
+        assert (got, error) == reference_samples(A, seed, n)
 
     def test_bounded_compensator_streams_infinite_rows(self):
         A = STREAM_COMPENSATORS[-1]
@@ -208,7 +189,7 @@ class TestWriteCoxRows:
     """The ``cox-demo`` writer against the per-row scalar reference, byte for byte."""
 
     @given(
-        st.sampled_from(STREAM_COMPENSATORS),
+        st.sampled_from(STREAM_COMPENSATORS) | random_compensators,
         st.integers(min_value=0, max_value=2**64 - 1),
         st.integers(min_value=0, max_value=40),
         st.integers(min_value=1, max_value=8),
@@ -216,21 +197,7 @@ class TestWriteCoxRows:
     )
     def test_equals_the_scalar_reference(self, A, seed, n, block, fmt):
         # A small block makes most cases cross one or more block boundaries.
-        buf = io.StringIO()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_DRAW_BLOCK", block)
-            write_cox_rows(buf, A, seed, n, fmt)
-        assert buf.getvalue() == reference_text(A, seed, n, fmt)
-
-    @given(
-        random_compensators,
-        st.integers(min_value=0, max_value=2**64 - 1),
-        st.integers(min_value=0, max_value=40),
-        st.integers(min_value=1, max_value=8),
-        st.sampled_from(["json", "csv"]),
-    )
-    def test_random_compensators_equal_the_scalar_reference(self, A, seed, n, block, fmt):
-        # The rows before an overflowing level, then the scalar row's error.
+        # Where a level overflows, the rows before it are written, then its error.
         buf, error = io.StringIO(), None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(core, "_DRAW_BLOCK", block)
@@ -238,7 +205,8 @@ class TestWriteCoxRows:
                 write_cox_rows(buf, A, seed, n, fmt)
             except OverflowError as exc:
                 error = str(exc)
-        assert (buf.getvalue(), error) == reference_outcome(A, seed, n, fmt)
+        samples, reference_error = reference_samples(A, seed, n)
+        assert (buf.getvalue(), error) == (render(samples, fmt), reference_error)
 
 
 class TestRoundTrip:
