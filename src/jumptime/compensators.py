@@ -2,8 +2,30 @@
 
 A compensator can be evaluated and inverted through the generalized inverse
 ``A^{-1}(s) = inf{t >= 0 : A(t) >= s}`` (the left edge of any flat piece;
-infinity when the level is never reached).  The module also provides a CSV
-loader for tabulated compensators.
+infinity when the level is never reached).
+
+Each class states its math once, as three scalar methods: ``_evaluate_finite``
+(A at a finite time), ``_inverse_finite`` (tau as a float, inf when the level
+is never reached or tau is past the float range) and ``_overflow`` (the error
+that names the level and the parameters).  ``Compensator`` builds the rest:
+
+- ``evaluate`` and ``inverse`` check their argument.  ``inverse`` holds the
+  overflow rule: a level below ``range_sup`` is reached at a finite time, so
+  an infinite tau there overflowed and raises ``_overflow``; any other
+  infinite tau is INFINITY.  ``first_overflow`` is the same rule for arrays.
+- ``evaluate_exact`` and ``inverse_exact`` map the scalar formulas element by
+  element, so they carry the scalar bits (inf for INFINITY and for overflow).
+- ``evaluate_many`` is ``evaluate_exact``, and ``inverse_many`` is
+  ``inverse_exact`` plus ``inverse``'s refusal to overflow.
+
+A class overrides an array method only where numpy may stand in.  Linear and
+tabulated use only correctly rounded ``+ - * /``, so numpy gives their
+``*_exact`` columns with the scalar bits.  Power and saturating keep numpy
+``evaluate_many``/``inverse_many`` for the verifiers, whose report bytes
+depend on them: numpy's SIMD pow, expm1 and log1p differ from libm's in the
+last bit, and an overflowed tau comes back as inf.
+
+The module also provides a CSV loader for tabulated compensators.
 """
 
 from __future__ import annotations
@@ -13,7 +35,6 @@ import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -37,6 +58,18 @@ class Compensator(abc.ABC):
     #: Supremum of A over [0, infinity); math.inf when unbounded.
     range_sup: float
 
+    @abc.abstractmethod
+    def _evaluate_finite(self, t: float) -> float:
+        """A(t) at a time t < inf; at inf a bounded A's formula gives range_sup."""
+
+    @abc.abstractmethod
+    def _inverse_finite(self, s: float) -> float:
+        """tau at a checked level: inf when s is never reached or tau overflows."""
+
+    @abc.abstractmethod
+    def _overflow(self, s: float) -> OverflowError:
+        """The error for a level whose tau is finite but past the float range."""
+
     def evaluate(self, t: TimeLike) -> float:
         """A(t); A(infinity) is range_sup and requires it to be finite."""
         tp = as_timepoint(t)
@@ -46,45 +79,53 @@ class Compensator(abc.ABC):
             return self.range_sup
         return self._evaluate_finite(tp.value)
 
-    @abc.abstractmethod
-    def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized A over an array of times; rejects the times ``evaluate`` rejects."""
-
-    @abc.abstractmethod
-    def evaluate_exact(self, ts: np.ndarray) -> np.ndarray:
-        """``evaluate`` over an array of times, bit for bit, raising where it raises."""
-
-    @abc.abstractmethod
-    def _evaluate_finite(self, t: float) -> float: ...
-
-    @abc.abstractmethod
     def inverse(self, s: float) -> TimePoint:
-        """Generalized inverse inf{t >= 0 : A(t) >= s}; INFINITY if never reached."""
+        """Generalized inverse inf{t >= 0 : A(t) >= s}; INFINITY if never reached.
 
-    @abc.abstractmethod
-    def inverse_many(self, ss: np.ndarray) -> np.ndarray:
-        """Vectorized generalized inverse (times as floats, inf when never)."""
+        Raises ``_overflow`` where the true tau is finite but past the float
+        range, since INFINITY would be a wrong answer there.
+        """
+        s = _check_level(s)
+        tau = self._inverse_finite(s)
+        if math.isinf(tau):
+            if s < self.range_sup:
+                raise self._overflow(s)
+            return INFINITY
+        return TimePoint(tau)
 
-    @abc.abstractmethod
-    def inverse_exact(self, ss: np.ndarray) -> np.ndarray:
+    def evaluate_exact(self, ts) -> np.ndarray:
+        """``evaluate`` over an array of times, bit for bit, raising where it raises."""
+        ts = self._check_times(ts)
+        return np.fromiter(map(self._evaluate_finite, ts.tolist()), float, len(ts))
+
+    def evaluate_many(self, ts) -> np.ndarray:
+        """Vectorized A over an array of times; rejects the times ``evaluate`` rejects."""
+        return self.evaluate_exact(ts)
+
+    def inverse_exact(self, ss) -> np.ndarray:
         """``inverse`` over an array of levels, bit for bit, as floats.
 
         inf stands for INFINITY, and also for a tau past the float range,
         where ``inverse`` raises OverflowError (see ``first_overflow``).
         """
+        ss = _check_nonnegative(ss)
+        return np.fromiter(map(self._inverse_finite, ss.tolist()), float, len(ss))
+
+    def inverse_many(self, ss) -> np.ndarray:
+        """Vectorized generalized inverse (times as floats, inf when never),
+        raising ``inverse``'s OverflowError at the first level it refuses."""
+        ss = np.asarray(ss, float)
+        taus = self.inverse_exact(ss)
+        stop = self.first_overflow(ss, taus)
+        if stop is not None:
+            raise self._overflow(float(ss[stop]))
+        return taus
 
     def first_overflow(self, ss, taus: np.ndarray) -> int | None:
-        """Index of the first finite level whose ``inverse_exact`` tau
-        overflowed a float, where ``inverse`` raises; None when there is none.
-
-        Only an unbounded A has one: it reaches every finite level, so an
-        infinite tau at a finite level is always that overflow.
-        """
-        if math.isinf(self.range_sup):
-            overflowed = np.isinf(taus) & np.isfinite(ss)
-            if overflowed.any():
-                return int(overflowed.argmax())
-        return None
+        """Index of the first level where ``inverse`` raises, None when there
+        is none: ``inverse``'s rule, an infinite tau below ``range_sup``."""
+        overflowed = np.isinf(taus) & (np.asarray(ss) < self.range_sup)
+        return int(overflowed.argmax()) if overflowed.any() else None
 
     def __call__(self, t: TimeLike) -> float:
         return self.evaluate(t)
@@ -113,24 +154,6 @@ def _check_nonnegative(xs, what: str = "levels") -> np.ndarray:
     return xs
 
 
-def _refuse_overflow(A: Compensator, ss, taus: np.ndarray) -> np.ndarray:
-    """``A.inverse_exact``'s taus, after raising ``A._overflow`` at ``A.first_overflow``."""
-    stop = A.first_overflow(ss, taus)
-    if stop is not None:
-        raise A._overflow(float(np.asarray(ss)[stop]))
-    return taus
-
-
-def _libm_each(f, xs: np.ndarray, *args: float) -> np.ndarray:
-    """``f(x, *args)`` for each x, through libm as the scalar methods take it.
-
-    numpy's SIMD pow, expm1 and log1p differ from libm in the last bit on
-    some inputs, so the array methods that must carry the scalar bits map
-    the ``math`` function element by element (as ``core`` does for the log).
-    """
-    return np.fromiter(map(f, xs.tolist(), *map(repeat, args)), float, len(xs))
-
-
 @dataclass(frozen=True)
 class LinearCompensator(Compensator):
     """A(t) = rate * t."""
@@ -146,28 +169,18 @@ class LinearCompensator(Compensator):
     def _evaluate_finite(self, t: float) -> float:
         return self.rate * t
 
-    def evaluate_many(self, ts):
-        return self.rate * self._check_times(ts)
-
-    # Correctly rounded arithmetic only, so the array methods carry the scalar bits.
-    evaluate_exact = evaluate_many
+    def _inverse_finite(self, s: float) -> float:
+        return s / self.rate
 
     def _overflow(self, s: float) -> OverflowError:
-        # The true tau is finite, so INFINITY would be a wrong answer.
         return OverflowError(f"jump time overflows a float: level {s} / rate {self.rate}")
 
-    def inverse(self, s: float) -> TimePoint:
-        tau = _check_level(s) / self.rate
-        if math.isinf(tau) and math.isfinite(s):
-            raise self._overflow(s)
-        return TimePoint(tau)
+    def evaluate_exact(self, ts):
+        return self.rate * self._check_times(ts)
 
     def inverse_exact(self, ss):
         with np.errstate(over="ignore"):
             return _check_nonnegative(ss) / self.rate
-
-    def inverse_many(self, ss):
-        return _refuse_overflow(self, ss, self.inverse_exact(ss))
 
 
 @dataclass(frozen=True)
@@ -185,41 +198,28 @@ class PowerCompensator(Compensator):
     def _evaluate_finite(self, t: float) -> float:
         return t**self.exponent
 
+    def _inverse_finite(self, s: float) -> float:
+        try:
+            return s ** (1.0 / self.exponent)
+        except OverflowError:
+            return math.inf
+
+    def _overflow(self, s: float) -> OverflowError:
+        return OverflowError(
+            f"jump time overflows a float: level {s} ** (1 / exponent {self.exponent:g})"
+        )
+
     # numpy's pow differs from libm's in the last bit (on about 80 of 1e5
-    # draws at exponent 2, inverse and evaluate alike).  Verify reports keep
-    # the numpy methods; ``*_exact`` maps libm's pow, as the scalar ``**``
-    # takes it.
+    # draws at exponent 2, inverse and evaluate alike), so only the
+    # verifiers' ``*_many`` use it; ``*_exact`` map the scalar formulas.
 
     def evaluate_many(self, ts):
         return self._check_times(ts) ** self.exponent
-
-    def evaluate_exact(self, ts):
-        return _libm_each(math.pow, self._check_times(ts), self.exponent)
-
-    def inverse(self, s: float) -> TimePoint:
-        try:
-            return TimePoint(_check_level(s) ** (1.0 / self.exponent))
-        except OverflowError:
-            # The true tau is finite, so INFINITY would be a wrong answer.
-            raise OverflowError(
-                f"jump time overflows a float: level {s} ** (1 / exponent {self.exponent:g})"
-            ) from None
 
     def inverse_many(self, ss):
         # Small exponents overflow to inf; callers that need tau < inf check for it.
         with np.errstate(over="ignore"):
             return _check_nonnegative(ss) ** (1.0 / self.exponent)
-
-    def inverse_exact(self, ss):
-        return _libm_each(_pow_or_inf, _check_nonnegative(ss), 1.0 / self.exponent)
-
-
-def _pow_or_inf(x: float, p: float) -> float:
-    """libm's pow, with inf past the float range, where the scalar ``**`` raises."""
-    try:
-        return math.pow(x, p)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)
@@ -242,37 +242,30 @@ class SaturatingExpCompensator(Compensator):
     def _evaluate_finite(self, t: float) -> float:
         return self.limit * -math.expm1(-self.rate * t)
 
-    # numpy's expm1 and log1p differ from libm's in the last bit.  Verify
-    # reports keep the numpy methods; ``*_exact`` maps libm's, with the
-    # correctly rounded + - * / left to numpy.
+    def _inverse_finite(self, s: float) -> float:
+        if s >= self.limit:
+            # The supremum is approached but never attained.
+            return math.inf
+        return -math.log1p(-s / self.limit) / self.rate
+
+    def _overflow(self, s: float) -> OverflowError:
+        return OverflowError(
+            f"jump time overflows a float: -log1p(-level {s} / limit {self.limit}) "
+            f"/ rate {self.rate}"
+        )
+
+    # numpy's expm1 and log1p differ from libm's in the last bit, so only
+    # the verifiers' ``*_many`` use them.
 
     def evaluate_many(self, ts):
         return self.limit * -np.expm1(-self.rate * self._check_times(ts))
 
-    def evaluate_exact(self, ts):
-        with np.errstate(over="ignore"):
-            exponents = -self.rate * self._check_times(ts)
-        return self.limit * -_libm_each(math.expm1, exponents)
-
-    def inverse(self, s: float) -> TimePoint:
-        s = _check_level(s)
-        if s >= self.limit:
-            # The supremum is approached but never attained.
-            return INFINITY
-        return TimePoint(-math.log1p(-s / self.limit) / self.rate)
-
     def inverse_many(self, ss):
+        # A tiny rate overflows to inf; callers that need tau < inf check for it.
         ss = _check_nonnegative(ss)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             finite = -np.log1p(-ss / self.limit) / self.rate
         return np.where(ss >= self.limit, math.inf, finite)
-
-    def inverse_exact(self, ss):
-        ss = _check_nonnegative(ss)
-        reached = ss < self.limit
-        logs = _libm_each(math.log1p, np.where(reached, -ss / self.limit, 0.0))
-        with np.errstate(over="ignore"):
-            return np.where(reached, -logs / self.rate, math.inf)
 
 
 def _lerp(x: float, x0: float, x1: float, y0: float, y1: float) -> float:
@@ -359,7 +352,27 @@ class TabulatedCompensator(Compensator):
             return self.values[i]
         return _lerp(t, self.times[i], self.times[i + 1], self.values[i], self.values[i + 1])
 
-    def evaluate_many(self, ts):
+    def _inverse_finite(self, s: float) -> float:
+        if s == 0.0:
+            return 0.0
+        if s > self.values[-1]:
+            if self.extrapolation_slope > 0.0:
+                return self.times[-1] + (s - self.values[-1]) / self.extrapolation_slope
+            return math.inf
+        j = bisect_left(self.values, s)
+        if self.values[j] == s:
+            # First knot attaining the level: the exact left edge of any flat.
+            return self.times[j]
+        values, times = self.values, self.times
+        return _lerp(s, values[j - 1], values[j], times[j - 1], times[j])
+
+    def _overflow(self, s: float) -> OverflowError:
+        return OverflowError(
+            f"jump time overflows a float: level {s} / extrapolation slope "
+            f"{self.extrapolation_slope}"
+        )
+
+    def evaluate_exact(self, ts):
         ts = self._check_times(ts)
         times = np.asarray(self.times)
         values = np.asarray(self.values)
@@ -371,34 +384,6 @@ class TabulatedCompensator(Compensator):
         # A bounded table's tail is its last value, at +inf too (0 * inf is nan).
         tail = values[-1] + slope * (ts - times[-1]) if slope > 0.0 else values[-1]
         return np.where(ts >= times[-1], tail, out)
-
-    # Correctly rounded arithmetic only, so the array methods carry the scalar bits.
-    evaluate_exact = evaluate_many
-
-    def _overflow(self, s: float) -> OverflowError:
-        # The true tau is finite, so INFINITY would be a wrong answer.
-        return OverflowError(
-            f"jump time overflows a float: level {s} / extrapolation slope "
-            f"{self.extrapolation_slope}"
-        )
-
-    def inverse(self, s: float) -> TimePoint:
-        s = _check_level(s)
-        if s == 0.0:
-            return TimePoint(0.0)
-        if s > self.values[-1]:
-            if self.extrapolation_slope > 0.0:
-                tau = self.times[-1] + (s - self.values[-1]) / self.extrapolation_slope
-                if math.isinf(tau) and math.isfinite(s):
-                    raise self._overflow(s)
-                return TimePoint(tau)
-            return INFINITY
-        j = bisect_left(self.values, s)
-        if self.values[j] == s:
-            # First knot attaining the level: the exact left edge of any flat.
-            return TimePoint(self.times[j])
-        values, times = self.values, self.times
-        return TimePoint(_lerp(s, values[j - 1], values[j], times[j - 1], times[j]))
 
     def inverse_exact(self, ss):
         ss = _check_nonnegative(ss)
@@ -419,9 +404,6 @@ class TabulatedCompensator(Compensator):
                 tail = math.inf
             out = np.where(above, tail, out)
         return out
-
-    def inverse_many(self, ss):
-        return _refuse_overflow(self, ss, self.inverse_exact(ss))
 
 
 def load_tabulated_csv(path, extrapolation_slope: float = 0.0) -> TabulatedCompensator:

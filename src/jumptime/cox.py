@@ -106,16 +106,15 @@ def _cox_blocks(A: Compensator, seed: int, n: int) -> Iterator[tuple[np.ndarray,
 
     The columns carry the bits of the scalar ``A.inverse`` and ``A.evaluate``
     (inf for INFINITY).  A block that holds a level whose tau overflows a
-    float is cut before that level; after it is yielded, that level's scalar
-    inverse raises, as ``cox_sample`` would.
+    float is cut before that level; after it is yielded, that level's
+    ``OverflowError`` is raised, as ``cox_sample`` would raise it.
     """
     for levels in exponential_blocks(seed, n):
         taus = A.inverse_exact(levels)
         stop = A.first_overflow(levels, taus)  # None slices the whole block
         yield levels[:stop], taus[:stop], A.evaluate_exact(taus[:stop])
         if stop is not None:
-            # The scalar inverse of that level raises the named OverflowError.
-            A.inverse(float(levels[stop]))
+            raise A._overflow(float(levels[stop]))
 
 
 def cox_samples(A: Compensator, seed: int, n: int) -> Iterator[CoxSample]:

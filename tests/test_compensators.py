@@ -57,13 +57,13 @@ every_family = st.one_of(
     tabulated_compensators(),
 )
 
-#: Every class with parameters across decades: tiny linear rates and small
-#: power exponents overflow on some levels, small saturating limits and
-#: bounded tables leave high levels never reached.
+#: Every class with parameters across decades: tiny linear and saturating
+#: rates and small power exponents overflow on some levels, small saturating
+#: limits and bounded tables leave high levels never reached.
 exact_families = st.one_of(
     decades(-320.0, 3.0).map(LinearCompensator),
     decades(-3.0, 1.5).map(PowerCompensator),
-    st.builds(SaturatingExpCompensator, decades(-3.0, 3.0), decades(-3.0, 3.0)),
+    st.builds(SaturatingExpCompensator, decades(-3.0, 3.0), decades(-320.0, 3.0)),
     tabulated_compensators(),
 )
 
@@ -201,6 +201,18 @@ class TestSaturatingExp:
         assert A.inverse(2.0) == INFINITY
         assert A.inverse(1.0) == INFINITY
         assert A.inverse(0.5) == TimePoint(math.log(2.0))
+
+    def test_overflowing_inverse_names_limit_rate_and_level(self):
+        # 0.5 < limit is reached at a finite tau, about 6.9e309; INFINITY would
+        # be wrong.  The verifiers' numpy inverse gives inf, an infinite sample.
+        A = SaturatingExpCompensator(1.0, 1e-310)
+        with pytest.raises(OverflowError, match=r"level 0\.5 / limit 1\.0\) / rate 1e-310"):
+            A.inverse(0.5)
+        assert A.inverse(2.0) == INFINITY
+        assert A.inverse(1e-3) == TimePoint(-math.log1p(-1e-3) / 1e-310)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert A.inverse_many(np.array([0.5, 2.0])).tolist() == [math.inf, math.inf]
 
 
 class TestTabulated:
@@ -361,6 +373,8 @@ class TestExactPaths:
         [0.48912777081375713, 0.7344712119389554],
         [0.2752473290376329, 0.4144007952317973],
     )
+    # A bounded A whose finite taus overflow below its supremum.
+    @example(SaturatingExpCompensator(1.0, 1e-310), [1e-3, 0.5, 2.0], [1e300])
     def test_exact_paths_carry_the_scalar_bits(self, A, ss, ts):
         if math.isfinite(A.range_sup):
             ss = ss + [A.range_sup, 2.0 * A.range_sup]
@@ -372,8 +386,8 @@ class TestExactPaths:
                 try:
                     want = A.inverse(s)
                 except OverflowError:
-                    # Only an unbounded A overflows, and inf stands for it.
-                    assert math.isinf(A.range_sup) and tau == math.inf
+                    # Only a level below the supremum overflows; inf stands for it.
+                    assert s < A.range_sup and tau == math.inf
                     expected.append(math.inf)
                     continue
                 expected.append(want.value if want.is_finite else math.inf)

@@ -27,13 +27,18 @@ STREAM_COMPENSATORS = [m.compensator for m in catalog_models()] + [
 ]
 
 
-#: Every class with parameters across decades: tiny linear rates, small
-#: power exponents and tiny table slopes overflow on some levels, small
-#: saturating limits and bounded tables leave some levels never reached.
+#: Every class with parameters across decades: tiny linear and saturating
+#: rates, small power exponents and tiny table slopes overflow on some
+#: levels, small saturating limits and bounded tables leave some levels
+#: never reached.
 random_compensators = st.one_of(
     (decades(-320.0, -306.0) | decades(-3.0, 2.0)).map(LinearCompensator),
     (decades(-3.0, -2.5) | decades(-2.5, 1.5)).map(PowerCompensator),
-    st.builds(SaturatingExpCompensator, decades(-3.0, 2.0), decades(-3.0, 2.0)),
+    st.builds(
+        SaturatingExpCompensator,
+        decades(-3.0, 2.0),
+        decades(-320.0, -306.0) | decades(-3.0, 2.0),
+    ),
     st.builds(
         TabulatedCompensator,
         st.just((0.0, 1.0, 2.0, 3.0)),
@@ -207,6 +212,17 @@ class TestWriteCoxRows:
                 error = str(exc)
         samples, reference_error = reference_samples(A, seed, n)
         assert (buf.getvalue(), error) == (render(samples, fmt), reference_error)
+
+    def test_bounded_overflow_keeps_the_rows_before_it(self):
+        # Over rate 1e-310, levels from about 0.018 up to the limit overflow,
+        # though they are reached; on seed 0 the fourth level is the first.
+        A = SaturatingExpCompensator(1.0, 1e-310)
+        buf = io.StringIO()
+        with pytest.raises(OverflowError, match=r"limit 1\.0\) / rate 1e-310"):
+            write_cox_rows(buf, A, 0, 50, "json")
+        samples, error = reference_samples(A, 0, 50)
+        assert len(samples) == 3 and error is not None
+        assert buf.getvalue() == render(samples, "json")
 
 
 class TestRoundTrip:
