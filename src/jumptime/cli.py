@@ -11,8 +11,12 @@ subcommand but ``cox-demo`` is a builder that returns a ``_Report`` (JSON
 document, CSV rows, verdict, optional stderr summary), and ``_write`` alone
 chooses the format and maps the verdict to the exit status.  The verdicts are
 the reports' own (``ExpLawReport.passed``, ``MartingaleReport.passed``, the
-Feller reports' ``passed``).  ``cox-demo`` hands its rows to
-``cox.write_cox_rows``, which writes them one draw block at a time.
+Feller reports' ``passed``).  ``predictable-demo``'s report carries Y's knots
+apart from its document, and ``_write_knots_json`` writes them a block at a
+time by template, with the bytes ``json.dumps`` would give.  ``cox-demo``
+hands its rows to ``cox.write_cox_rows``, which writes them one draw block at
+a time.  numpy is bound lazily (see ``core``), so the commands that draw
+nothing never load it.
 
 Exit status contract: 0 all checks passed, 1 a verification honestly failed,
 2 usage error, 3 runtime error (including an infinite jump-time draw, a jump
@@ -28,7 +32,8 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from typing import NamedTuple, Optional
+from itertools import chain
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 # cox_sample is not called here; it stays bound as the scalar reference at
 # this lookup site, which bench/tracer.py wraps.
@@ -206,9 +211,34 @@ class _Report(NamedTuple):
     """What one subcommand writes: the JSON document or the CSV rows, and its verdict."""
 
     doc: dict
-    rows: list
+    rows: Iterable[tuple]
     passed: bool
     summary: Optional[str] = None  # stderr line in CSV mode
+    # (times, values) of Y's knots: the JSON document's last key, "knots".
+    knots: Optional[tuple[Sequence[float], Sequence[float]]] = None
+
+
+#: A knot of the "knots" list as ``json.dumps(indent=2)`` lays it out; the
+#: knots are finite floats, whose JSON text is their ``repr``.
+_KNOT_JSON = "\n    [\n      %r,\n      %r\n    ]"
+#: Knots per write: about 64 kB of text.
+_KNOT_BLOCK = 1024
+
+
+def _write_knots_json(fh, doc: dict, times: Sequence[float], values: Sequence[float]) -> None:
+    """Write ``json.dumps(dict(doc, knots=[[t, v], ...]), indent=2)`` and a newline.
+
+    The document before the knots comes from ``json.dumps`` itself; the knots
+    follow one block per write, so neither the pairs nor the whole text is
+    ever built.  There is at least one knot.
+    """
+    head = json.dumps(dict(doc, knots=[]), indent=2)
+    fh.write(head[: -len("]\n}")])
+    for start in range(0, len(times), _KNOT_BLOCK):
+        stop = start + _KNOT_BLOCK
+        block = ",".join(map(_KNOT_JSON.__mod__, zip(times[start:stop], values[start:stop])))
+        fh.write(block if start == 0 else "," + block)
+    fh.write("\n  ]\n}\n")
 
 
 def _write(args: argparse.Namespace, report: _Report) -> int:
@@ -217,6 +247,8 @@ def _write(args: argparse.Namespace, report: _Report) -> int:
             csv.writer(fh, lineterminator="\n").writerows(report.rows)
             if report.summary is not None:
                 print(report.summary, file=sys.stderr)
+        elif report.knots is not None:
+            _write_knots_json(fh, report.doc, *report.knots)
         else:
             fh.write(json.dumps(report.doc, indent=2))
             fh.write("\n")
@@ -275,10 +307,10 @@ def _predictable_demo(args: argparse.Namespace) -> _Report:
         "hitting_time": hit.value,
         "max_knot_error": max_knot_error,
     }
-    knots = list(zip(y.path.times, y.path.values))
+    times, values = y.path.times, y.path.values
     passed = hit.value == args.target and max_knot_error <= KNOT_TOLERANCE
-    doc = dict(summary, knots=[[t, v] for t, v in knots])
-    return _Report(doc, [("time", "value")] + knots, passed, json.dumps(summary))
+    rows = chain([("time", "value")], zip(times, values))
+    return _Report(summary, rows, passed, json.dumps(summary), knots=(times, values))
 
 
 def _cox_demo(args: argparse.Namespace) -> int:

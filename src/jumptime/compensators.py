@@ -13,6 +13,10 @@ that names the level and the parameters).  ``Compensator`` builds the rest:
   overflow rule: a level below ``range_sup`` is reached at a finite time, so
   an infinite tau there overflowed and raises ``_overflow``; any other
   infinite tau is INFINITY.  ``first_overflow`` is the same rule for arrays.
+  ``evaluate`` holds its mirror: A at a finite time is finite, so an A that
+  computes to inf there (only an unbounded one can) overflowed and raises
+  ``_value_overflow``, which names the time.  ``_finite_values`` is that rule
+  for arrays, and every array evaluation goes through it.
 - ``evaluate_exact`` and ``inverse_exact`` map the scalar formulas element by
   element, so they carry the scalar bits (inf for INFINITY and for overflow).
 - ``evaluate_many`` is ``evaluate_exact``, and ``inverse_many`` is
@@ -36,9 +40,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import INFINITY, TimeLike, TimePoint, as_timepoint
+from .core import INFINITY, TimeLike, TimePoint, as_timepoint, np
 
 __all__ = [
     "Compensator",
@@ -52,6 +54,11 @@ __all__ = [
 _UNBOUNDED_AT_INFINITY = "A(infinity) is undefined for an unbounded compensator"
 
 
+def _value_overflow(t: float) -> OverflowError:
+    """The error for a finite time whose A(t) is finite but past the float range."""
+    return OverflowError(f"compensator value overflows a float at time {t}")
+
+
 class Compensator(abc.ABC):
     """Shared contract: A(0) = 0, nondecreasing, continuous."""
 
@@ -60,7 +67,8 @@ class Compensator(abc.ABC):
 
     @abc.abstractmethod
     def _evaluate_finite(self, t: float) -> float:
-        """A(t) at a time t < inf; at inf a bounded A's formula gives range_sup."""
+        """A(t) at a time t < inf, inf where it overflows; at inf a bounded A's
+        formula gives range_sup."""
 
     @abc.abstractmethod
     def _inverse_finite(self, s: float) -> float:
@@ -77,7 +85,10 @@ class Compensator(abc.ABC):
             if math.isinf(self.range_sup):
                 raise ValueError(_UNBOUNDED_AT_INFINITY)
             return self.range_sup
-        return self._evaluate_finite(tp.value)
+        a = self._evaluate_finite(tp.value)
+        if math.isinf(a):
+            raise _value_overflow(tp.value)
+        return a
 
     def inverse(self, s: float) -> TimePoint:
         """Generalized inverse inf{t >= 0 : A(t) >= s}; INFINITY if never reached.
@@ -96,7 +107,9 @@ class Compensator(abc.ABC):
     def evaluate_exact(self, ts) -> np.ndarray:
         """``evaluate`` over an array of times, bit for bit, raising where it raises."""
         ts = self._check_times(ts)
-        return np.fromiter(map(self._evaluate_finite, ts.tolist()), float, len(ts))
+        return self._finite_values(
+            ts, np.fromiter(map(self._evaluate_finite, ts.tolist()), float, len(ts))
+        )
 
     def evaluate_many(self, ts) -> np.ndarray:
         """Vectorized A over an array of times; rejects the times ``evaluate`` rejects."""
@@ -126,6 +139,15 @@ class Compensator(abc.ABC):
         is none: ``inverse``'s rule, an infinite tau below ``range_sup``."""
         overflowed = np.isinf(taus) & (np.asarray(ss) < self.range_sup)
         return int(overflowed.argmax()) if overflowed.any() else None
+
+    @staticmethod
+    def _finite_values(ts: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``values``, A at ``ts``, raising ``evaluate``'s OverflowError at the
+        first time where A computed to inf: ``evaluate``'s rule for arrays."""
+        overflowed = np.isinf(values)
+        if overflowed.any():
+            raise _value_overflow(float(np.ravel(ts)[overflowed.argmax()]))
+        return values
 
     def __call__(self, t: TimeLike) -> float:
         return self.evaluate(t)
@@ -176,7 +198,9 @@ class LinearCompensator(Compensator):
         return OverflowError(f"jump time overflows a float: level {s} / rate {self.rate}")
 
     def evaluate_exact(self, ts):
-        return self.rate * self._check_times(ts)
+        ts = self._check_times(ts)
+        with np.errstate(over="ignore"):
+            return self._finite_values(ts, self.rate * ts)
 
     def inverse_exact(self, ss):
         with np.errstate(over="ignore"):
@@ -196,7 +220,10 @@ class PowerCompensator(Compensator):
     range_sup = math.inf
 
     def _evaluate_finite(self, t: float) -> float:
-        return t**self.exponent
+        try:
+            return t**self.exponent
+        except OverflowError:
+            return math.inf
 
     def _inverse_finite(self, s: float) -> float:
         try:
@@ -214,7 +241,9 @@ class PowerCompensator(Compensator):
     # verifiers' ``*_many`` use it; ``*_exact`` map the scalar formulas.
 
     def evaluate_many(self, ts):
-        return self._check_times(ts) ** self.exponent
+        ts = self._check_times(ts)
+        with np.errstate(over="ignore"):
+            return self._finite_values(ts, ts**self.exponent)
 
     def inverse_many(self, ss):
         # Small exponents overflow to inf; callers that need tau < inf check for it.
@@ -258,7 +287,10 @@ class SaturatingExpCompensator(Compensator):
     # the verifiers' ``*_many`` use them.
 
     def evaluate_many(self, ts):
-        return self.limit * -np.expm1(-self.rate * self._check_times(ts))
+        ts = self._check_times(ts)
+        # rate * t may overflow to inf, where A is its limit.
+        with np.errstate(over="ignore"):
+            return self._finite_values(ts, self.limit * -np.expm1(-self.rate * ts))
 
     def inverse_many(self, ss):
         # A tiny rate overflows to inf; callers that need tau < inf check for it.
@@ -382,8 +414,9 @@ class TabulatedCompensator(Compensator):
         out = np.where(ts == t0, v0, _lerp_many(ts, t0, times[ip], v0, values[ip]))
         slope = self.extrapolation_slope
         # A bounded table's tail is its last value, at +inf too (0 * inf is nan).
-        tail = values[-1] + slope * (ts - times[-1]) if slope > 0.0 else values[-1]
-        return np.where(ts >= times[-1], tail, out)
+        with np.errstate(over="ignore"):
+            tail = values[-1] + slope * (ts - times[-1]) if slope > 0.0 else values[-1]
+        return self._finite_values(ts, np.where(ts >= times[-1], tail, out))
 
     def inverse_exact(self, ss):
         ss = _check_nonnegative(ss)

@@ -19,13 +19,36 @@ them into one array for the verifiers.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import operator
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from typing import Iterator, Union
 
-import numpy as np
+
+def _import_lazily(name: str):
+    """The module ``name``, executed on its first attribute access.
+
+    An already imported module is returned as it is.  Otherwise the standard
+    library's ``LazyLoader`` puts a stub in ``sys.modules`` whose first
+    attribute access runs the import, so a command that never touches an
+    array never pays for numpy.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+#: numpy, loaded on first array use; the package's other modules import it from here.
+np = _import_lazily("numpy")
 
 __all__ = [
     "INFINITY",
@@ -133,8 +156,8 @@ class CadlagPath:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        values = tuple(float(v) for v in self.values)
+        times = tuple(map(float, self.times))
+        values = tuple(map(float, self.values))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if not times:
@@ -143,12 +166,13 @@ class CadlagPath:
             raise ValueError("times and values must have equal length")
         if times[0] != 0.0:
             raise ValueError(f"first knot must sit at time 0, got {times[0]}")
-        for i in range(1, len(times)):
-            if not times[i] > times[i - 1]:
-                raise ValueError(f"knot times must be strictly increasing at index {i}")
-        for t, v in zip(times, values):
-            if not (math.isfinite(t) and math.isfinite(v)):
-                raise ValueError("knot times and values must be finite")
+        # Checked at C speed; the indexed loop only names the first bad knot.
+        if not all(map(operator.lt, times, times[1:])):
+            for i in range(1, len(times)):
+                if not times[i] > times[i - 1]:
+                    raise ValueError(f"knot times must be strictly increasing at index {i}")
+        if not (all(map(math.isfinite, times)) and all(map(math.isfinite, values))):
+            raise ValueError("knot times and values must be finite")
 
     @classmethod
     def constant(cls, value: float) -> "CadlagPath":
@@ -230,26 +254,27 @@ def draw_exponential(stream: RngStream) -> float:
 
 
 # Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC'11), as numpy implements it.
-_PHILOX_M0 = np.uint64(0xD2E7470EE14C6C93)
-_PHILOX_M1 = np.uint64(0xCA5A826395121157)
+# The constants are Python ints: under NEP 50 an int that fits takes the
+# uint64 array's type, so the arithmetic below stays in wrapping uint64.
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
 _PHILOX_W0 = 0x9E3779B97F4A7C15
 _PHILOX_W1 = 0xBB67AE8584CAA73B
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+_LOW32 = 0xFFFFFFFF
 
 #: Stream ids per vectorised pass; keeps the temporaries to a few MB.
 _DRAW_BLOCK = 16384
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit halves of the 128-bit products m * x."""
-    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
-    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    m_lo, m_hi = m & _LOW32, m >> 32
+    x_lo, x_hi = x & _LOW32, x >> 32
     lo_lo = m_lo * x_lo
     hi_lo = m_hi * x_lo
     lo_hi = m_lo * x_hi
-    cross = (lo_lo >> _SHIFT32) + (hi_lo & _LOW32) + lo_hi
-    hi = m_hi * x_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32)
+    cross = (lo_lo >> 32) + (hi_lo & _LOW32) + lo_hi
+    hi = m_hi * x_hi + (hi_lo >> 32) + (cross >> 32)
     return hi, m * x
 
 

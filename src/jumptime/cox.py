@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
-import numpy as np
-
 from .compensators import Compensator
 from .core import (
     RngStream,
@@ -33,6 +31,7 @@ from .core import (
     as_timepoint,
     draw_exponential,
     exponential_blocks,
+    np,
 )
 
 __all__ = [

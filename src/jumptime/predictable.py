@@ -12,7 +12,9 @@ level 1/(m+1) down to zero at the target.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import CadlagPath, TimeLike, TimePoint, as_timepoint
 
@@ -52,13 +54,19 @@ class AnnouncingSequence:
             raise ValueError(f"target must be a nonnegative real, got {target}")
         object.__setattr__(self, "target", target)
 
-        times = tuple(float(t) for t in self.times)
+        times = tuple(map(float, self.times))
         object.__setattr__(self, "times", times)
-        for i, t in enumerate(times):
-            if not (math.isfinite(t) and t >= 0.0):
-                raise ValueError(f"announcing time {i} must be a finite nonnegative real")
-            if i > 0 and t < times[i - 1]:
-                raise ValueError(f"announcing times must be nondecreasing at index {i}")
+        # Checked at C speed; the indexed loop only names the first bad time.
+        if not (
+            all(map(math.isfinite, times))
+            and min(times, default=0.0) >= 0.0
+            and all(map(operator.le, times, times[1:]))
+        ):
+            for i, t in enumerate(times):
+                if not (math.isfinite(t) and t >= 0.0):
+                    raise ValueError(f"announcing time {i} must be a finite nonnegative real")
+                if i > 0 and t < times[i - 1]:
+                    raise ValueError(f"announcing times must be nondecreasing at index {i}")
 
         if target == 0.0:
             if any(t != 0.0 for t in times):
@@ -90,10 +98,14 @@ def extract_strict_subsequence(seq: AnnouncingSequence) -> AnnouncingSequence:
     """
     if seq.target > 0.0 and not seq.times:
         raise ValueError("cannot strictify an empty announcing sequence")
-    kept: list[float] = []
-    for t in seq.times:
-        if not kept or t > kept[-1]:
-            kept.append(t)
+    times = seq.times
+    if all(map(operator.lt, times, times[1:])):
+        kept = times
+    else:
+        kept = []
+        for t in times:
+            if not kept or t > kept[-1]:
+                kept.append(t)
     if seq.target == 0.0:
         kept = kept[:1]
     return AnnouncingSequence(tuple(kept), seq.target)
@@ -111,9 +123,9 @@ class YProcess:
 
     def __post_init__(self):
         values = self.path.values
-        if any(v < 0.0 for v in values):
+        if min(values) < 0.0:
             raise ValueError("Y must be nonnegative")
-        if any(b > a for a, b in zip(values, values[1:])):
+        if not all(map(operator.ge, values, values[1:])):
             raise ValueError("Y must be nonincreasing")
         if values[-1] != 0.0:
             raise ValueError("Y must end at exactly 0")
@@ -142,17 +154,16 @@ def build_y_process(seq: AnnouncingSequence) -> YProcess:
         return YProcess(path=CadlagPath.constant(0.0))
 
     times = seq.times
-    for i in range(1, len(times)):
-        if times[i] <= times[i - 1]:
-            raise ValueError(
-                "announcing times must be strictly increasing; "
-                "apply extract_strict_subsequence first"
-            )
+    if not all(map(operator.lt, times, times[1:])):
+        raise ValueError(
+            "announcing times must be strictly increasing; "
+            "apply extract_strict_subsequence first"
+        )
     if times[0] <= 0.0:
         raise ValueError("the first announcing time must be strictly positive")
 
     knot_times = (0.0,) + times + (seq.target,)
-    knot_values = tuple(1.0 / i for i in range(1, len(times) + 2)) + (0.0,)
+    knot_values = tuple(map(operator.truediv, repeat(1.0), range(1, len(times) + 2))) + (0.0,)
     return YProcess(path=CadlagPath(knot_times, knot_values))
 
 

@@ -22,15 +22,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .compensators import (
     Compensator,
     LinearCompensator,
     PowerCompensator,
     TabulatedCompensator,
 )
-from .core import RngStream, TimeLike, TimePoint, as_timepoint, draw_exponential
+from .core import RngStream, TimeLike, TimePoint, as_timepoint, draw_exponential, np
 
 __all__ = [
     "C0_WITNESSES",
@@ -295,7 +293,8 @@ def tent(y: float) -> float:
 #: Continuous functions vanishing at infinity; a finite witness set for C0.
 C0_WITNESSES: tuple[Callable[[float], float], ...] = (gauss_bump, inverse_quad, tent)
 
-DEFAULT_X_GRID: tuple[float, ...] = tuple(float(x) for x in np.linspace(-8.0, 8.0, 81))
+#: -8 to 8 in steps of 0.2, bit for bit ``np.linspace(-8.0, 8.0, 81)``.
+DEFAULT_X_GRID: tuple[float, ...] = tuple(-8.0 + i * 0.2 for i in range(81))
 DEFAULT_T_SCHEDULE: tuple[float, ...] = tuple(2.0**-k for k in range(21))
 
 

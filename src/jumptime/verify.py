@@ -28,9 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import draw_exponentials
+from .core import draw_exponentials, np
 from .processes import JumpModel
 
 __all__ = [
@@ -309,7 +307,7 @@ def martingale_residual(
     # A(t ^ tau) is A(tau) where tau <= t and A(t) elsewhere.  A is evaluated
     # at min(tau, largest grid time), and at t only when some tau exceeds t:
     # the same times as evaluating A(min(tau, t)) for every t, so the values
-    # and any overflow warning are the same.  Both come from evaluate_many,
+    # and any overflow error are the same.  Both come from evaluate_many,
     # which is elementwise, so they have the bits of A over the stopped array;
     # the scalar evaluate uses libm and can differ in the last bit.
     a_tau = A.evaluate_many(np.minimum(taus, max(grid, default=0.0)))

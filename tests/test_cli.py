@@ -16,7 +16,13 @@ from jumptime.cli import KNOT_TOLERANCE, MARTINGALE_Z_LIMIT, main, parse_args
 from jumptime.compensators import SaturatingExpCompensator
 from jumptime.core import _DRAW_BLOCK, RngStream
 from jumptime.cox import cox_sample, write_cox_rows
-from jumptime.processes import build_model
+from jumptime.predictable import (
+    build_y_process,
+    extract_strict_subsequence,
+    make_announcing_sequence,
+    max_geometric_m,
+)
+from jumptime.processes import build_model, catalog_names
 from jumptime.verify import _Z_CACHE
 
 
@@ -447,6 +453,59 @@ class TestCoxDemoBytes:
                      "--n", str(n), "--seed", str(seed), "--out", str(path)]) == 3
         assert "jump time overflows a float" in capsys.readouterr().err
         assert_same_lines(path.read_text(), reference_rows(A, seed, range(first), "json"))
+
+
+class TestPredictableDemoBytes:
+    @given(
+        target=st.floats(2.2250738585072014e-308, 1e6) | st.floats(1e300, 1.7976931348623157e308),
+        m=st.integers(min_value=1, max_value=2500),
+        scheme=st.sampled_from(["geometric", "harmonic"]),
+    )
+    # Where t * m overflows, across a write block of knots.
+    @example(target=1.7976931348623157e308, m=2500, scheme="harmonic")
+    @example(target=1.0, m=53, scheme="geometric")
+    def test_streamed_json_is_json_dumps(self, target, m, scheme):
+        if scheme == "geometric":
+            m = min(m, max_geometric_m(target))
+        argv = ["predictable-demo", "--target", repr(target), "--m", str(m), "--scheme", scheme]
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        y = build_y_process(extract_strict_subsequence(make_announcing_sequence(target, m, scheme)))
+        doc = json.loads(out.getvalue())
+        assert [doc["target"], doc["m"], doc["scheme"]] == [target, m, scheme]
+        doc["knots"] = [[t, v] for t, v in zip(y.path.times, y.path.values)]
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def numpy_loaded_after(argv, tmp_path) -> bool:
+    """Run one command in a fresh interpreter; whether numpy's core was loaded."""
+    code = (
+        "import sys\n"
+        "from jumptime.cli import main\n"
+        f"status = main({argv + ['--out', str(tmp_path / 'out')]!r})\n"
+        "print(status, 'numpy._core' in sys.modules)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    status, loaded = run.stdout.split()
+    assert status == "0", run.stderr
+    return loaded == "True"
+
+
+class TestImportsOnDemand:
+    @pytest.mark.parametrize(
+        "argv",
+        [["list-models"]]
+        + [["feller-check", "--model", name] for name in catalog_names()]
+        + [["predictable-demo", "--scheme", scheme] for scheme in ("geometric", "harmonic")],
+        ids=" ".join,
+    )
+    def test_commands_that_draw_nothing_leave_numpy_unloaded(self, argv, tmp_path):
+        assert not numpy_loaded_after(argv, tmp_path)
+
+    def test_a_verification_loads_numpy(self, tmp_path):
+        argv = ["verify-exp-law", "--model", "poisson", "--n", "1000"]
+        assert numpy_loaded_after(argv, tmp_path)
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Compensator forms, generalized inverses, their array twins, and the CSV loader."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -400,6 +401,47 @@ class TestExactPaths:
             times = mapped + ts
             evaluated = A.evaluate_exact(np.array(times))
         np.testing.assert_array_equal(bits(evaluated), bits([A.evaluate(t) for t in times]))
+
+
+#: Unbounded compensators with a finite time whose A is past the float range.
+VALUE_OVERFLOWS = [
+    pytest.param(PowerCompensator(10.0), 1e40, "1e+40", id="power-10"),
+    pytest.param(LinearCompensator(1e308), 10.0, "10.0", id="linear-1e308"),
+    pytest.param(
+        TabulatedCompensator((0.0, 1.0), (0.0, 1.0), 1e308), 10.0, "10.0", id="tabulated-1e308"
+    ),
+]
+
+
+class TestEvaluateOverflow:
+    @pytest.mark.parametrize("A, t, shown", VALUE_OVERFLOWS)
+    def test_every_evaluate_path_names_the_time(self, A, t, shown):
+        # A(t) is finite in exact arithmetic; inf or a bare OverflowError would be wrong.
+        message = rf"^compensator value overflows a float at time {re.escape(shown)}$"
+        with pytest.raises(OverflowError, match=message):
+            A.evaluate(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for array_path in (A.evaluate_exact, A.evaluate_many):
+                # The first overflowing time is named, not a later one.
+                with pytest.raises(OverflowError, match=message):
+                    array_path(np.array([1.0, t, 2.0 * t]))
+
+    @pytest.mark.parametrize("A, t, shown", VALUE_OVERFLOWS)
+    def test_times_below_the_overflow_still_evaluate(self, A, t, shown):
+        ts = np.array([0.0, 0.5, 1.0])
+        expected = [A.evaluate(float(x)) for x in ts]
+        np.testing.assert_array_equal(A.evaluate_exact(ts), expected)
+        np.testing.assert_allclose(A.evaluate_many(ts), expected, rtol=1e-12)
+
+    def test_a_bounded_compensator_never_overflows(self):
+        # rate * t overflows to inf here, where A is its limit.
+        A = SaturatingExpCompensator(limit=2.0, rate=1e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert A.evaluate(1e306) == 2.0
+            np.testing.assert_array_equal(A.evaluate_many(np.array([1e306, math.inf])), [2.0, 2.0])
+            np.testing.assert_array_equal(A.evaluate_exact(np.array([1e306, math.inf])), [2.0, 2.0])
 
 
 class TestGeneralizedInverseIdentities:

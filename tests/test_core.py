@@ -125,6 +125,34 @@ class TestCadlagPath:
         with pytest.raises(ValueError):
             CadlagPath(times=(0.0, 1.0), values=(0.0,))
 
+    @pytest.mark.parametrize(
+        "bad, index",
+        [(math.nan, 2), (-1.0, 3), (1.5, 4), (2.0, 3)],
+        ids=["nan", "negative", "decreasing", "equal"],
+    )
+    def test_first_unordered_knot_is_named(self, bad, index):
+        # Knots 0, 1, 2, 2.5, 3, 4 with one time replaced, so that the order
+        # first breaks at the given index.
+        times = [0.0, 1.0, 2.0, 2.5, 3.0, 4.0]
+        times[index] = bad
+        message = f"^knot times must be strictly increasing at index {index}$"
+        with pytest.raises(ValueError, match=message):
+            CadlagPath(tuple(times), (0.0,) * len(times))
+
+    @pytest.mark.parametrize(
+        "times, values",
+        [
+            ((0.0, 1.0, math.inf), (0.0, 1.0, 2.0)),
+            ((0.0, 1.0, 2.0), (0.0, math.inf, 2.0)),
+            ((0.0, 1.0, 2.0), (0.0, 1.0, math.nan)),
+            ((0.0, 1.0, 2.0), (0.0, -math.inf, -1.0)),
+        ],
+        ids=["inf-time", "inf-value", "nan-value", "negative-inf-value"],
+    )
+    def test_nonfinite_knots_rejected(self, times, values):
+        with pytest.raises(ValueError, match="^knot times and values must be finite$"):
+            CadlagPath(times, values)
+
 
 class TestRngStream:
     def test_streams_are_reproducible(self):

@@ -42,6 +42,31 @@ class TestAnnouncingSequence:
         with pytest.raises(ValueError, match="at least one"):
             AnnouncingSequence((), 1.0)
 
+    @pytest.mark.parametrize(
+        "bad, index, message",
+        [
+            (math.nan, 2, "announcing time 2 must be a finite nonnegative real"),
+            (math.inf, 4, "announcing time 4 must be a finite nonnegative real"),
+            (-1.0, 0, "announcing time 0 must be a finite nonnegative real"),
+            (0.25, 3, "announcing times must be nondecreasing at index 3"),
+        ],
+        ids=["nan", "inf", "negative", "decreasing"],
+    )
+    def test_first_bad_time_is_named(self, bad, index, message):
+        times = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        times[index] = bad
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AnnouncingSequence(tuple(times), 1.0)
+
+    def test_a_bad_time_is_named_before_a_later_disorder(self):
+        with pytest.raises(ValueError, match="^announcing times must be nondecreasing at index 2$"):
+            AnnouncingSequence((0.1, 0.3, 0.2, math.nan), 1.0)
+        with pytest.raises(ValueError, match="^announcing time 2 must be a finite nonnegative real$"):
+            AnnouncingSequence((0.3, 0.3, -0.5, 0.2), 1.0)
+
+    def test_equal_step_is_nondecreasing(self):
+        assert AnnouncingSequence((0.1, 0.2, 0.2, 0.4), 1.0).times == (0.1, 0.2, 0.2, 0.4)
+
     def test_target_zero_announces_itself(self):
         assert AnnouncingSequence((), 0.0).times == ()
         assert AnnouncingSequence((), 0.0).epsilon_announce == 0.0
@@ -75,6 +100,13 @@ class TestStrictSubsequence:
         assert out.target == 2.0
         assert out.epsilon_announce == seq.epsilon_announce
         assert out.times[-1] == seq.times[-1]
+
+    @pytest.mark.parametrize("index", [1, 3, 5])
+    def test_an_equal_step_is_dropped_where_it_sits(self, index):
+        times = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        times[index] = times[index - 1]
+        kept = tuple(t for i, t in enumerate(times) if i != index)
+        assert extract_strict_subsequence(AnnouncingSequence(tuple(times), 1.0)).times == kept
 
     @given(
         st.lists(st.floats(min_value=0.001, max_value=0.99), min_size=1, max_size=30),
@@ -120,6 +152,17 @@ class TestBuildYProcess:
         seq = AnnouncingSequence((1.0, 1.0, 1.5), 2.0)
         with pytest.raises(ValueError, match="strict"):
             build_y_process(seq)
+
+    @pytest.mark.parametrize("index", [1, 2, 4])
+    def test_an_equal_step_anywhere_is_refused(self, index):
+        times = [0.1, 0.2, 0.3, 0.4, 0.5]
+        times[index] = times[index - 1]
+        message = (
+            "^announcing times must be strictly increasing; "
+            "apply extract_strict_subsequence first$"
+        )
+        with pytest.raises(ValueError, match=message):
+            build_y_process(AnnouncingSequence(tuple(times), 1.0))
 
     def test_rejects_zero_first_time(self):
         seq = AnnouncingSequence((0.0, 1.0), 2.0)
@@ -174,6 +217,31 @@ class TestHittingTime:
         positive_end = CadlagPath(times=(0.0, 1.0), values=(1.0, 0.5))
         with pytest.raises(ValueError, match="end at exactly 0"):
             YProcess(path=positive_end)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((1.0, 0.5, -1.0, -1.0, 0.0), "Y must be nonnegative"),
+            ((1.0, 0.5, 0.25, 0.5, 0.0), "Y must be nonincreasing"),
+            # A negative level is named before a rise after it.
+            ((1.0, -1.0, 0.5, 0.0, 0.0), "Y must be nonnegative"),
+        ],
+        ids=["negative", "rising", "negative-then-rising"],
+    )
+    def test_y_process_messages(self, values, message):
+        from jumptime.core import CadlagPath
+        from jumptime.predictable import YProcess
+
+        path = CadlagPath(times=(0.0, 1.0, 2.0, 3.0, 4.0), values=values)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            YProcess(path=path)
+
+    def test_y_process_allows_equal_steps(self):
+        from jumptime.core import CadlagPath
+        from jumptime.predictable import YProcess
+
+        path = CadlagPath(times=(0.0, 1.0, 2.0, 3.0), values=(1.0, 0.5, 0.5, 0.0))
+        assert YProcess(path=path).knot_levels == (1.0, 0.5, 0.5)
 
 
 class TestMakeAnnouncingSequence:

@@ -263,6 +263,12 @@ class TestFellerCheck:
         assert all(0.0 < b < a for a, b in zip(DEFAULT_T_SCHEDULE, DEFAULT_T_SCHEDULE[1:]))
         assert DEFAULT_X_GRID[0] == -8.0 and DEFAULT_X_GRID[-1] == 8.0
 
+    def test_default_grid_is_linspace_bit_for_bit(self):
+        # The grid is built without numpy; Feller reports depend on its bits.
+        linspace = np.linspace(-8.0, 8.0, 81)
+        assert DEFAULT_X_GRID == tuple(linspace)
+        np.testing.assert_array_equal(np.array(DEFAULT_X_GRID).view(np.uint64), linspace.view(np.uint64))
+
     @pytest.mark.parametrize(
         "broken",
         [
