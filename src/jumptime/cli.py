@@ -20,7 +20,8 @@ nothing never load it.
 
 Exit status contract: 0 all checks passed, 1 a verification honestly failed,
 2 usage error, 3 runtime error (including an infinite jump-time draw, a jump
-time that overflows a float, and unwritable output paths).
+time that overflows a float, unwritable output paths, and an ``--n`` too
+large to allocate).
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ def _predictable_demo(args: argparse.Namespace) -> _Report:
         "hitting_time": hit.value,
         "max_knot_error": max_knot_error,
     }
-    times, values = y.path.times, y.path.values
+    times, values = y.times, y.values
     passed = hit.value == args.target and max_knot_error <= KNOT_TOLERANCE
     rows = chain([("time", "value")], zip(times, values))
     return _Report(summary, rows, passed, json.dumps(summary), knots=(times, values))
@@ -338,8 +339,9 @@ def run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InfiniteSampleError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InfiniteSampleError, OverflowError, OSError, MemoryError) as exc:
+        # A bare MemoryError carries no message of its own.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -24,10 +24,11 @@ that names the level and the parameters).  ``Compensator`` builds the rest:
 
 A class overrides an array method only where numpy may stand in.  Linear and
 tabulated use only correctly rounded ``+ - * /``, so numpy gives their
-``*_exact`` columns with the scalar bits.  Power and saturating keep numpy
+``*_exact`` columns with the scalar bits.  Power keeps numpy
 ``evaluate_many``/``inverse_many`` for the verifiers, whose report bytes
-depend on them: numpy's SIMD pow, expm1 and log1p differ from libm's in the
-last bit, and an overflowed tau comes back as inf.
+depend on them: numpy's pow differs from libm's in the last bit, and an
+overflowed tau comes back as inf.  Saturating has no numpy twin, so every
+array form of it carries the scalar bits on every host.
 
 The module also provides a CSV loader for tabulated compensators.
 """
@@ -282,22 +283,6 @@ class SaturatingExpCompensator(Compensator):
             f"jump time overflows a float: -log1p(-level {s} / limit {self.limit}) "
             f"/ rate {self.rate}"
         )
-
-    # numpy's expm1 and log1p differ from libm's in the last bit, so only
-    # the verifiers' ``*_many`` use them.
-
-    def evaluate_many(self, ts):
-        ts = self._check_times(ts)
-        # rate * t may overflow to inf, where A is its limit.
-        with np.errstate(over="ignore"):
-            return self._finite_values(ts, self.limit * -np.expm1(-self.rate * ts))
-
-    def inverse_many(self, ss):
-        # A tiny rate overflows to inf; callers that need tau < inf check for it.
-        ss = _check_nonnegative(ss)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            finite = -np.log1p(-ss / self.limit) / self.rate
-        return np.where(ss >= self.limit, math.inf, finite)
 
 
 def _lerp(x: float, x0: float, x1: float, y0: float, y1: float) -> float:

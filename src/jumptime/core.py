@@ -1,10 +1,9 @@
 """Foundational value types shared by every other module.
 
-Three things live here: model time with an explicit, tagged infinity
-(``TimePoint``), continuous piecewise-linear paths (``CadlagPath``), and
-deterministic multi-stream randomness (``RngStream``).  Everything is an
-immutable value, safe to share between threads and to split across
-replications by stream id.
+Two things live here: model time with an explicit, tagged infinity
+(``TimePoint``), and deterministic multi-stream randomness (``RngStream``).
+Both are immutable values, safe to share between threads and to split
+across replications by stream id.
 
 ``RngStream`` is the scalar reference: one numpy Philox4x64-10 generator keyed
 by ``(seed, stream_id)``.  ``exponential_blocks`` is a pure-numpy port of the
@@ -21,9 +20,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
-import operator
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from typing import Iterator, Union
@@ -52,7 +49,6 @@ np = _import_lazily("numpy")
 
 __all__ = [
     "INFINITY",
-    "CadlagPath",
     "RngStream",
     "TimePoint",
     "TimeLike",
@@ -140,65 +136,6 @@ def as_timepoint(t: TimeLike) -> TimePoint:
     if isinstance(t, TimePoint):
         return t
     return TimePoint(t)
-
-
-@dataclass(frozen=True)
-class CadlagPath:
-    """A continuous piecewise-linear path, so in particular cadlag.
-
-    Knots are a strictly increasing sequence of times starting at 0 with one
-    value each; between consecutive knots the path interpolates the two knot
-    values exactly.  On ``[last knot, infinity)`` the path holds the last
-    knot's value.
-    """
-
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        times = tuple(map(float, self.times))
-        values = tuple(map(float, self.values))
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if not times:
-            raise ValueError("a path needs at least one knot")
-        if len(values) != len(times):
-            raise ValueError("times and values must have equal length")
-        if times[0] != 0.0:
-            raise ValueError(f"first knot must sit at time 0, got {times[0]}")
-        # Checked at C speed; the indexed loop only names the first bad knot.
-        if not all(map(operator.lt, times, times[1:])):
-            for i in range(1, len(times)):
-                if not times[i] > times[i - 1]:
-                    raise ValueError(f"knot times must be strictly increasing at index {i}")
-        if not (all(map(math.isfinite, times)) and all(map(math.isfinite, values))):
-            raise ValueError("knot times and values must be finite")
-
-    @classmethod
-    def constant(cls, value: float) -> "CadlagPath":
-        return cls((0.0,), (float(value),))
-
-    def evaluate(self, t: TimeLike) -> float:
-        """Value at a finite time t."""
-        tp = as_timepoint(t)
-        if not tp.is_finite:
-            raise ValueError("path evaluation requires a finite time")
-        tv = tp.value
-        i = bisect_right(self.times, tv) - 1
-        if i >= len(self.times) - 1:
-            return self.values[-1]
-        t0, t1 = self.times[i], self.times[i + 1]
-        v0, v1 = self.values[i], self.values[i + 1]
-        return v0 + (tv - t0) * (v1 - v0) / (t1 - t0)
-
-    def left_limit(self, t: TimeLike) -> float:
-        """Limit from the left at a finite time t > 0: the value, as the path is continuous."""
-        tp = as_timepoint(t)
-        if not tp.is_finite:
-            raise ValueError("left limit requires a finite time")
-        if tp.value <= 0.0:
-            raise ValueError("no left limit exists at time 0")
-        return self.evaluate(tp)
 
 
 def _check_seed(seed: int) -> None:

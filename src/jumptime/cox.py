@@ -6,12 +6,12 @@ infimum returns tau itself (the round trip), and A(tau) recovers Z whenever
 tau is finite, because a continuous A attains the level it crosses.
 
 ``cox_sample`` draws one level from one ``RngStream``, the scalar reference.
-``cox_samples`` yields the same samples for stream ids 0..n-1, and
-``write_cox_rows`` writes them as ``cox-demo``'s rows.  Both take their
-levels from ``exponential_blocks`` (vectorised Philox blocks) and map each
-block through ``A.inverse_exact`` and ``A.evaluate_exact``, the array forms
-of the scalar ``A.inverse`` and ``A.evaluate`` with the same bits, so they
-agree with ``cox_sample`` bit for bit.  ``CoxSample.to_json_dict`` is the
+``write_cox_rows`` writes the same samples for stream ids 0..n-1 as
+``cox-demo``'s rows.  It takes its levels from ``exponential_blocks``
+(vectorised Philox blocks) and maps each block through ``A.inverse_exact``
+and ``A.evaluate_exact``, the array forms of the scalar ``A.inverse`` and
+``A.evaluate`` with the same bits, so its rows agree with ``cox_sample`` bit
+for bit.  ``CoxSample.to_json_dict`` is the
 reference form of a row, and ``_COX_FORMATS`` holds the same row as the
 templates ``write_cox_rows`` fills column by column.
 """
@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterator
 
 from .compensators import Compensator
 from .core import (
@@ -38,7 +36,6 @@ __all__ = [
     "CoxSample",
     "cox_round_trip",
     "cox_sample",
-    "cox_samples",
     "cox_time",
     "write_cox_rows",
 ]
@@ -100,48 +97,25 @@ def cox_sample(A: Compensator, stream: RngStream) -> CoxSample:
     return CoxSample(z=z, tau=tau, a_at_tau=A.evaluate(tau), stream=stream)
 
 
-def _cox_blocks(A: Compensator, seed: int, n: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """Levels, taus and A(taus) of streams 0..n-1, one draw block at a time.
-
-    The columns carry the bits of the scalar ``A.inverse`` and ``A.evaluate``
-    (inf for INFINITY).  A block that holds a level whose tau overflows a
-    float is cut before that level; after it is yielded, that level's
-    ``OverflowError`` is raised, as ``cox_sample`` would raise it.
-    """
-    for levels in exponential_blocks(seed, n):
-        taus = A.inverse_exact(levels)
-        stop = A.first_overflow(levels, taus)  # None slices the whole block
-        yield levels[:stop], taus[:stop], A.evaluate_exact(taus[:stop])
-        if stop is not None:
-            raise A._overflow(float(levels[stop]))
-
-
-def cox_samples(A: Compensator, seed: int, n: int) -> Iterator[CoxSample]:
-    """``cox_sample(A, RngStream(seed, k))`` for k = 0..n-1, lazily.
-
-    The samples are mapped one draw block at a time, so memory stays flat
-    in n; each ``CoxSample`` is built as it is asked for.
-    """
-    rows = chain.from_iterable(
-        zip(*(column.tolist() for column in block)) for block in _cox_blocks(A, seed, n)
-    )
-    for k, (z, tau, a_at_tau) in enumerate(rows):
-        yield CoxSample(z=z, tau=TimePoint(tau), a_at_tau=a_at_tau, stream=RngStream(seed, k))
-
-
 def write_cox_rows(fh, A: Compensator, seed: int, n: int, fmt: str) -> None:
     """Write ``cox_sample(A, RngStream(seed, k)).to_json_dict()`` for k < n as ``fmt`` rows.
 
-    Each block of ``exponential_blocks`` is rendered column by column
-    through one row template and handed to one ``writelines`` call, so
-    memory stays flat in n; the rows before a level whose jump time
-    overflows a float are written before the error propagates.
+    Each block of ``exponential_blocks`` is mapped through ``A.inverse_exact``
+    and ``A.evaluate_exact``, rendered column by column through one row
+    template and handed to one ``writelines`` call, so memory stays flat in
+    n.  A block that holds a level whose jump time overflows a float is cut
+    before that level; the rows before it are written, then that level's
+    ``OverflowError`` is raised, as ``cox_sample`` would raise it.
     """
     header, row, infinity = _COX_FORMATS[fmt]
     template = row.replace("SEED", str(seed))
     fh.write(header)
     start = 0
-    for levels, taus, a_taus in _cox_blocks(A, seed, n):
+    for draws in exponential_blocks(seed, n):
+        taus = A.inverse_exact(draws)
+        stop = A.first_overflow(draws, taus)  # None slices the whole block
+        levels, taus = draws[:stop], taus[:stop]
+        a_taus = A.evaluate_exact(taus)
         z_text = list(map(repr, levels.tolist()))
         tau_text = map(repr, taus.tolist())
         never = np.flatnonzero(np.isinf(taus)).tolist()
@@ -159,6 +133,8 @@ def write_cox_rows(fh, A: Compensator, seed: int, n: int, fmt: str) -> None:
         # first would add a few MB to the peak memory.
         fh.writelines(map(template.__mod__, zip(z_text, tau_text, a_text, ids)))
         start += len(z_text)
+        if stop is not None:
+            raise A._overflow(float(draws[stop]))
 
 
 def cox_round_trip(A: Compensator, tau: TimeLike) -> TimePoint:

@@ -6,17 +6,19 @@ announcing sequence one builds a continuous nonincreasing process Y with
 Y > 0 before tau and Y = 0 from tau on, so tau is exactly the first time Y
 hits zero.  Y is piecewise linear with value 1/i at the (i-1)-th announcing
 time; a finite sequence of m times is closed by one last linear segment from
-level 1/(m+1) down to zero at the target.
+level 1/(m+1) down to zero at the target.  ``YProcess`` holds those knots
+itself and states every check on them, as a path and as a Y, in one place.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 
-from .core import CadlagPath, TimeLike, TimePoint, as_timepoint
+from .core import TimeLike, TimePoint, as_timepoint
 
 __all__ = [
     "GEOMETRIC",
@@ -113,16 +115,36 @@ def extract_strict_subsequence(seq: AnnouncingSequence) -> AnnouncingSequence:
 
 @dataclass(frozen=True)
 class YProcess:
-    """Continuous nonincreasing path hitting zero exactly at its target.
+    """Continuous nonincreasing piecewise-linear path hitting zero exactly at its target.
 
+    Knots are a strictly increasing sequence of times starting at 0 with one
+    value each; between consecutive knots Y interpolates the two knot values
+    exactly, and from the last knot on it holds that knot's value, 0.
     ``knot_levels`` (1/i at tau_{i-1} for a built Y) and ``target`` (the
-    closing knot, where the value is 0) are read off the path.
+    closing knot) are read off the knots.
     """
 
-    path: CadlagPath
+    times: tuple[float, ...]
+    values: tuple[float, ...]
 
     def __post_init__(self):
-        values = self.path.values
+        times = tuple(map(float, self.times))
+        values = tuple(map(float, self.values))
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+        if not times:
+            raise ValueError("a path needs at least one knot")
+        if len(values) != len(times):
+            raise ValueError("times and values must have equal length")
+        if times[0] != 0.0:
+            raise ValueError(f"first knot must sit at time 0, got {times[0]}")
+        # Checked at C speed; the indexed loop only names the first bad knot.
+        if not all(map(operator.lt, times, times[1:])):
+            for i in range(1, len(times)):
+                if not times[i] > times[i - 1]:
+                    raise ValueError(f"knot times must be strictly increasing at index {i}")
+        if not (all(map(math.isfinite, times)) and all(map(math.isfinite, values))):
+            raise ValueError("knot times and values must be finite")
         if min(values) < 0.0:
             raise ValueError("Y must be nonnegative")
         if not all(map(operator.ge, values, values[1:])):
@@ -132,14 +154,33 @@ class YProcess:
 
     @property
     def knot_levels(self) -> tuple[float, ...]:
-        return self.path.values[:-1]
+        return self.values[:-1]
 
     @property
     def target(self) -> TimePoint:
-        return TimePoint(self.path.times[-1])
+        return TimePoint(self.times[-1])
 
     def __call__(self, t: TimeLike) -> float:
-        return self.path.evaluate(t)
+        """Value at a finite time t."""
+        tp = as_timepoint(t)
+        if not tp.is_finite:
+            raise ValueError("path evaluation requires a finite time")
+        tv = tp.value
+        i = bisect_right(self.times, tv) - 1
+        if i >= len(self.times) - 1:
+            return self.values[-1]
+        t0, t1 = self.times[i], self.times[i + 1]
+        v0, v1 = self.values[i], self.values[i + 1]
+        return v0 + (tv - t0) * (v1 - v0) / (t1 - t0)
+
+    def left_limit(self, t: TimeLike) -> float:
+        """Limit from the left at a finite time t > 0: the value, as Y is continuous."""
+        tp = as_timepoint(t)
+        if not tp.is_finite:
+            raise ValueError("left limit requires a finite time")
+        if tp.value <= 0.0:
+            raise ValueError("no left limit exists at time 0")
+        return self(tp)
 
 
 def build_y_process(seq: AnnouncingSequence) -> YProcess:
@@ -151,7 +192,7 @@ def build_y_process(seq: AnnouncingSequence) -> YProcess:
     target.  A target of 0 yields the identically-zero process.
     """
     if seq.target == 0.0:
-        return YProcess(path=CadlagPath.constant(0.0))
+        return YProcess((0.0,), (0.0,))
 
     times = seq.times
     if not all(map(operator.lt, times, times[1:])):
@@ -164,7 +205,7 @@ def build_y_process(seq: AnnouncingSequence) -> YProcess:
 
     knot_times = (0.0,) + times + (seq.target,)
     knot_values = tuple(map(operator.truediv, repeat(1.0), range(1, len(times) + 2))) + (0.0,)
-    return YProcess(path=CadlagPath(knot_times, knot_values))
+    return YProcess(knot_times, knot_values)
 
 
 def y_hitting_time(Y: YProcess) -> TimePoint:
@@ -174,7 +215,7 @@ def y_hitting_time(Y: YProcess) -> TimePoint:
     the earliest knot with value zero; interior points of a segment ending
     above zero stay positive.  Y ends at 0, so that knot always exists.
     """
-    return TimePoint(Y.path.times[Y.path.values.index(0.0)])
+    return TimePoint(Y.times[Y.values.index(0.0)])
 
 
 def max_geometric_m(target: float) -> int:

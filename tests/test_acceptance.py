@@ -223,8 +223,8 @@ def test_criterion_10_y_process():
                 worst_knot = max(worst_knot, knot_err)
                 assert knot_err <= 1e-12, (scheme, m, target)
 
-                for t, v in zip(y.path.times[1:], y.path.values[1:]):
-                    assert y.path.left_limit(t) - v == 0.0, (scheme, m, target, t)
+                for t, v in zip(y.times[1:], y.values[1:]):
+                    assert y.left_limit(t) - v == 0.0, (scheme, m, target, t)
 
                 grid = np.linspace(0.0, target, 10_000)
                 vals = np.array([y(float(t)) for t in grid])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from jumptime import core
+from jumptime import core, verify
 from jumptime.cli import KNOT_TOLERANCE, MARTINGALE_Z_LIMIT, main, parse_args
 from jumptime.compensators import SaturatingExpCompensator
 from jumptime.core import _DRAW_BLOCK, RngStream
@@ -178,6 +178,23 @@ class TestRunExitCodes:
         )
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error",
+        [MemoryError("Unable to allocate 8.00 TiB for an array"), MemoryError()],
+        ids=["numpy", "bare"],
+    )
+    def test_an_unallocatable_n_is_three(self, monkeypatch, capsys, error):
+        # Never allocated for real: a host that overcommits would start filling it.
+        def refuse(seed, n):
+            raise error
+
+        monkeypatch.setattr(verify, "draw_exponentials", refuse)
+        argv = ["verify-exp-law", "--model", "poisson", "--n", str(2**40)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {str(error) or 'out of memory'}\n"
 
     def test_overflowing_jump_time_is_three(self):
         cmd = [sys.executable, "-m", "jumptime.cli", "cox-demo", "--model", "power",
@@ -474,7 +491,7 @@ class TestPredictableDemoBytes:
         y = build_y_process(extract_strict_subsequence(make_announcing_sequence(target, m, scheme)))
         doc = json.loads(out.getvalue())
         assert [doc["target"], doc["m"], doc["scheme"]] == [target, m, scheme]
-        doc["knots"] = [[t, v] for t, v in zip(y.path.times, y.path.values)]
+        doc["knots"] = [[t, v] for t, v in zip(y.times, y.values)]
         assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 

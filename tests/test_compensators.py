@@ -106,6 +106,19 @@ REJECTED_TIMES = [
 ]
 
 
+#: Saturating compensators with levels and times: on the first, numpy's
+#: log1p and expm1 differ from libm's in the last bit; on the second, finite
+#: taus overflow below the supremum.
+SATURATING_EXAMPLES = [
+    (
+        SaturatingExpCompensator(10.0, 1.0),
+        [0.48912777081375713, 0.7344712119389554],
+        [0.2752473290376329, 0.4144007952317973],
+    ),
+    (SaturatingExpCompensator(1.0, 1e-310), [1e-3, 0.5, 2.0], [1e300]),
+]
+
+
 def bits(xs) -> np.ndarray:
     return np.asarray(xs, float).view(np.uint64)
 
@@ -205,7 +218,7 @@ class TestSaturatingExp:
 
     def test_overflowing_inverse_names_limit_rate_and_level(self):
         # 0.5 < limit is reached at a finite tau, about 6.9e309; INFINITY would
-        # be wrong.  The verifiers' numpy inverse gives inf, an infinite sample.
+        # be wrong, and so would inf from the array inverse.
         A = SaturatingExpCompensator(1.0, 1e-310)
         with pytest.raises(OverflowError, match=r"level 0\.5 / limit 1\.0\) / rate 1e-310"):
             A.inverse(0.5)
@@ -213,7 +226,18 @@ class TestSaturatingExp:
         assert A.inverse(1e-3) == TimePoint(-math.log1p(-1e-3) / 1e-310)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert A.inverse_many(np.array([0.5, 2.0])).tolist() == [math.inf, math.inf]
+            with pytest.raises(OverflowError):
+                A.inverse_many(np.array([0.5, 2.0]))
+
+    @pytest.mark.parametrize("A, ss, ts", SATURATING_EXAMPLES)
+    def test_array_forms_carry_the_exact_bits(self, A, ss, ts):
+        ts = np.array(ts + [math.inf])
+        np.testing.assert_array_equal(bits(A.evaluate_many(ts)), bits(A.evaluate_exact(ts)))
+        ss = np.array(ss + [A.range_sup, 2.0 * A.range_sup])
+        exact = A.inverse_exact(ss)
+        # inverse_many refuses an overflowing level (inf below the supremum).
+        kept = ~(np.isinf(exact) & (ss < A.range_sup))
+        np.testing.assert_array_equal(bits(A.inverse_many(ss[kept])), bits(exact[kept]))
 
 
 class TestTabulated:
@@ -336,7 +360,7 @@ class TestVectorPaths:
 
     @given(closed_forms, probes, probes)
     def test_closed_forms_match_scalar_paths(self, A, ts, ss):
-        # numpy's SIMD pow/expm1/log1p may differ from libm in the last bit.
+        # numpy's SIMD pow may differ from libm in the last bit.
         # A bounded A gives its supremum at +inf on both paths.
         if math.isfinite(A.range_sup):
             ts = ts + [math.inf]
@@ -369,13 +393,9 @@ class TestExactPaths:
     # in the last bit, so a numpy shortcut fails here.
     @example(PowerCompensator(2.0), [0.10836941080951759, 1.480911988623286], [0.6576526478313247])
     @example(PowerCompensator(0.5), [4.63221944483097, 2.2210522455050437], [1.0])
-    @example(
-        SaturatingExpCompensator(10.0, 1.0),
-        [0.48912777081375713, 0.7344712119389554],
-        [0.2752473290376329, 0.4144007952317973],
-    )
+    @example(*SATURATING_EXAMPLES[0])
     # A bounded A whose finite taus overflow below its supremum.
-    @example(SaturatingExpCompensator(1.0, 1e-310), [1e-3, 0.5, 2.0], [1e300])
+    @example(*SATURATING_EXAMPLES[1])
     def test_exact_paths_carry_the_scalar_bits(self, A, ss, ts):
         if math.isfinite(A.range_sup):
             ss = ss + [A.range_sup, 2.0 * A.range_sup]

@@ -1,4 +1,4 @@
-"""Value types: time points, piecewise-linear paths, and reproducible random streams."""
+"""Value types: time points and reproducible random streams."""
 
 import math
 import operator
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from jumptime.core import (
     INFINITY,
-    CadlagPath,
     RngStream,
     TimePoint,
     as_timepoint,
@@ -82,76 +81,6 @@ class TestTimePoint:
         assert as_timepoint(t) is t
         assert as_timepoint(2.5) == TimePoint(2.5)
         assert as_timepoint(math.inf) == INFINITY
-
-
-class TestCadlagPath:
-    def test_constant_path(self):
-        path = CadlagPath.constant(3.0)
-        assert path.evaluate(0.0) == 3.0
-        assert path.evaluate(7.0) == 3.0
-
-    def test_piecewise_linear_interpolates(self):
-        path = CadlagPath(times=(0.0, 1.0), values=(1.0, 0.5))
-        assert path.evaluate(0.0) == 1.0
-        assert path.evaluate(0.5) == 0.75
-        assert path.evaluate(1.0) == 0.5
-        assert path.left_limit(1.0) == 0.5
-
-    def test_right_continuity_at_every_knot(self):
-        # The path is continuous: its value matches from both sides of every knot.
-        path = CadlagPath(times=(0.0, 1.0, 2.0, 4.0), values=(0.0, 1.0, 3.0, 2.0))
-        for t in path.times:
-            assert abs(path.evaluate(t + 1e-12) - path.evaluate(t)) < 1e-9
-            if t > 0.0:
-                assert abs(path.evaluate(t - 1e-12) - path.evaluate(t)) < 1e-9
-
-    def test_left_limit_sees_pre_jump_value(self):
-        # A continuous path never jumps, so the left limit is the interpolated
-        # value: at knots, inside segments and past the last knot.
-        path = CadlagPath(times=(0.0, 1.0, 3.0), values=(4.0, 2.0, 1.0))
-        for t, value in ((1.0, 2.0), (3.0, 1.0), (0.5, 3.0), (2.0, 1.5), (10.0, 1.0)):
-            assert path.left_limit(t) == path.evaluate(t) == value
-
-    def test_left_limit_at_zero_rejected(self):
-        path = CadlagPath.constant(1.0)
-        with pytest.raises(ValueError):
-            path.left_limit(0.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CadlagPath(times=(1.0,), values=(0.0,))  # must start at 0
-        with pytest.raises(ValueError):
-            CadlagPath(times=(0.0, 0.0), values=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            CadlagPath(times=(0.0, 1.0), values=(0.0,))
-
-    @pytest.mark.parametrize(
-        "bad, index",
-        [(math.nan, 2), (-1.0, 3), (1.5, 4), (2.0, 3)],
-        ids=["nan", "negative", "decreasing", "equal"],
-    )
-    def test_first_unordered_knot_is_named(self, bad, index):
-        # Knots 0, 1, 2, 2.5, 3, 4 with one time replaced, so that the order
-        # first breaks at the given index.
-        times = [0.0, 1.0, 2.0, 2.5, 3.0, 4.0]
-        times[index] = bad
-        message = f"^knot times must be strictly increasing at index {index}$"
-        with pytest.raises(ValueError, match=message):
-            CadlagPath(tuple(times), (0.0,) * len(times))
-
-    @pytest.mark.parametrize(
-        "times, values",
-        [
-            ((0.0, 1.0, math.inf), (0.0, 1.0, 2.0)),
-            ((0.0, 1.0, 2.0), (0.0, math.inf, 2.0)),
-            ((0.0, 1.0, 2.0), (0.0, 1.0, math.nan)),
-            ((0.0, 1.0, 2.0), (0.0, -math.inf, -1.0)),
-        ],
-        ids=["inf-time", "inf-value", "nan-value", "negative-inf-value"],
-    )
-    def test_nonfinite_knots_rejected(self, times, values):
-        with pytest.raises(ValueError, match="^knot times and values must be finite$"):
-            CadlagPath(times, values)
 
 
 class TestRngStream:

@@ -18,7 +18,7 @@ from jumptime.compensators import (
     TabulatedCompensator,
 )
 from jumptime.core import INFINITY, RngStream, TimePoint
-from jumptime.cox import cox_round_trip, cox_sample, cox_samples, cox_time, write_cox_rows
+from jumptime.cox import cox_round_trip, cox_sample, cox_time, write_cox_rows
 from jumptime.processes import catalog_models, flat_compensator_model
 
 #: Every catalog compensator, plus a bounded one whose high levels are never hit.
@@ -142,54 +142,6 @@ class TestCoxSample:
         assert d["tau"] == "infinity"
 
 
-class TestCoxSamples:
-    """The block stream against the per-row scalar reference."""
-
-    @given(
-        st.sampled_from(STREAM_COMPENSATORS) | random_compensators,
-        st.integers(min_value=0, max_value=2**64 - 1),
-        st.integers(min_value=0, max_value=40),
-        st.integers(min_value=1, max_value=8),
-    )
-    def test_equals_the_scalar_reference(self, A, seed, n, block):
-        # A small block makes most cases cross one or more block boundaries.
-        # Where a level overflows, the samples before it come, then its error.
-        got, error = [], None
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_DRAW_BLOCK", block)
-            try:
-                got.extend(cox_samples(A, seed, n))
-            except OverflowError as exc:
-                error = str(exc)
-        assert (got, error) == reference_samples(A, seed, n)
-
-    def test_bounded_compensator_streams_infinite_rows(self):
-        A = STREAM_COMPENSATORS[-1]
-        rows = [s.to_json_dict() for s in cox_samples(A, 3, 50)]
-        assert any(row["tau"] == "infinity" for row in rows)
-        assert any(row["tau"] != "infinity" for row in rows)
-
-    def test_first_sample_draws_one_block(self, monkeypatch):
-        calls = []
-        first_words = core._philox_first_words
-
-        def counting(seed, ids):
-            calls.append(len(ids))
-            # An eager stream would go on to 10**12 draws; stop it at once.
-            assert len(calls) == 1, "a second block was drawn"
-            return first_words(seed, ids)
-
-        monkeypatch.setattr(core, "_philox_first_words", counting)
-        A = LinearCompensator(1.0)
-        assert next(cox_samples(A, 0, 10**12)) == cox_sample(A, RngStream(0, 0))
-        assert calls == [core._DRAW_BLOCK]
-
-    def test_seed_range_validated(self):
-        for seed in (-1, 2**64):
-            with pytest.raises(ValueError, match="64-bit"):
-                next(cox_samples(LinearCompensator(1.0), seed, 3))
-
-
 class TestWriteCoxRows:
     """The ``cox-demo`` writer against the per-row scalar reference, byte for byte."""
 
@@ -223,6 +175,36 @@ class TestWriteCoxRows:
         samples, error = reference_samples(A, 0, 50)
         assert len(samples) == 3 and error is not None
         assert buf.getvalue() == render(samples, "json")
+
+    def test_each_block_is_drawn_when_it_is_written(self, monkeypatch):
+        calls, seen = [], []
+        first_words = core._philox_first_words
+
+        def counting(seed, ids):
+            calls.append(len(ids))
+            # An eager writer would go on to 10**12 draws; stop it at once.
+            assert len(calls) <= 2, "a block was drawn before the one before it was written"
+            return first_words(seed, ids)
+
+        class RefusingSink(io.StringIO):
+            def writelines(self, lines):
+                seen.append(len(calls))
+                if len(seen) == 2:
+                    raise OSError("sink full")
+                super().writelines(lines)
+
+        monkeypatch.setattr(core, "_philox_first_words", counting)
+        sink = RefusingSink()
+        with pytest.raises(OSError, match="sink full"):
+            write_cox_rows(sink, LinearCompensator(1.0), 0, 10**12, "json")
+        # The first block was written after exactly one draw call.
+        assert seen == [1, 2] and calls == [core._DRAW_BLOCK] * 2
+        assert sink.getvalue().count("\n") == core._DRAW_BLOCK
+
+    def test_seed_range_validated(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="64-bit"):
+                write_cox_rows(io.StringIO(), LinearCompensator(1.0), seed, 3, "json")
 
 
 class TestRoundTrip:

@@ -12,6 +12,7 @@ from jumptime.predictable import (
     GEOMETRIC,
     HARMONIC,
     AnnouncingSequence,
+    YProcess,
     build_y_process,
     extract_strict_subsequence,
     make_announcing_sequence,
@@ -120,6 +121,78 @@ class TestStrictSubsequence:
         assert out.times[0] == times[0]
 
 
+class TestYProcessPath:
+    """Y's knots as a continuous piecewise-linear path."""
+
+    def test_piecewise_linear_interpolates(self):
+        y = YProcess(times=(0.0, 1.0, 2.0), values=(1.0, 0.5, 0.0))
+        assert y(0.0) == 1.0
+        assert y(0.5) == 0.75
+        assert y(1.0) == 0.5
+        assert y.left_limit(1.0) == 0.5
+        assert y(1.5) == 0.25
+        assert y(3.0) == 0.0
+
+    def test_right_continuity_at_every_knot(self):
+        # Y is continuous: its value matches from both sides of every knot.
+        y = YProcess(times=(0.0, 1.0, 2.0, 4.0), values=(3.0, 2.0, 1.0, 0.0))
+        for t in y.times:
+            assert abs(y(t + 1e-12) - y(t)) < 1e-9
+            if t > 0.0:
+                assert abs(y(t - 1e-12) - y(t)) < 1e-9
+
+    def test_left_limit_sees_pre_jump_value(self):
+        # A continuous path never jumps, so the left limit is the interpolated
+        # value: at knots, inside segments and past the last knot.
+        y = YProcess(times=(0.0, 1.0, 3.0, 5.0), values=(4.0, 2.0, 1.0, 0.0))
+        for t, value in ((1.0, 2.0), (3.0, 1.0), (0.5, 3.0), (2.0, 1.5), (4.0, 0.5), (10.0, 0.0)):
+            assert y.left_limit(t) == y(t) == value
+
+    def test_left_limit_at_zero_rejected(self):
+        y = YProcess(times=(0.0, 1.0), values=(1.0, 0.0))
+        with pytest.raises(ValueError, match="^no left limit exists at time 0$"):
+            y.left_limit(0.0)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="^a path needs at least one knot$"):
+            YProcess(times=(), values=())
+        with pytest.raises(ValueError, match="^first knot must sit at time 0, got 1.0$"):
+            YProcess(times=(1.0,), values=(0.0,))
+        with pytest.raises(ValueError, match="strictly increasing at index 1"):
+            YProcess(times=(0.0, 0.0), values=(1.0, 0.0))
+        with pytest.raises(ValueError, match="^times and values must have equal length$"):
+            YProcess(times=(0.0, 1.0), values=(0.0,))
+
+    @pytest.mark.parametrize(
+        "bad, index",
+        [(math.nan, 2), (-1.0, 3), (1.5, 4), (2.0, 3)],
+        ids=["nan", "negative", "decreasing", "equal"],
+    )
+    def test_first_unordered_knot_is_named(self, bad, index):
+        # Knots 0, 1, 2, 2.5, 3, 4 with one time replaced, so that the order
+        # first breaks at the given index.
+        times = [0.0, 1.0, 2.0, 2.5, 3.0, 4.0]
+        times[index] = bad
+        message = f"^knot times must be strictly increasing at index {index}$"
+        with pytest.raises(ValueError, match=message):
+            YProcess(tuple(times), (0.0,) * len(times))
+
+    @pytest.mark.parametrize(
+        "times, values",
+        [
+            ((0.0, 1.0, math.inf), (2.0, 1.0, 0.0)),
+            ((0.0, 1.0, 2.0), (math.inf, 1.0, 0.0)),
+            ((0.0, 1.0, 2.0), (1.0, math.nan, 0.0)),
+            # Named as nonfinite before it is named as negative.
+            ((0.0, 1.0, 2.0), (1.0, -math.inf, 0.0)),
+        ],
+        ids=["inf-time", "inf-value", "nan-value", "negative-inf-value"],
+    )
+    def test_nonfinite_knots_rejected(self, times, values):
+        with pytest.raises(ValueError, match="^knot times and values must be finite$"):
+            YProcess(times, values)
+
+
 class TestBuildYProcess:
     def test_knot_values_on_a_two_term_sequence(self):
         seq = AnnouncingSequence((1.0, 1.5), 2.0)
@@ -135,7 +208,7 @@ class TestBuildYProcess:
         seq = AnnouncingSequence((1.0, 1.5), 2.0)
         y = build_y_process(seq)
         assert y.knot_levels == (1.0, 0.5, 1.0 / 3.0)
-        assert y.path.values == (1.0, 0.5, 1.0 / 3.0, 0.0)
+        assert y.values == (1.0, 0.5, 1.0 / 3.0, 0.0)
 
     def test_target_zero_gives_the_zero_process(self):
         y = build_y_process(AnnouncingSequence((), 0.0))
@@ -171,8 +244,8 @@ class TestBuildYProcess:
 
     def test_continuity_at_every_knot(self):
         y = build_y_process(make_announcing_sequence(2.0, 8, GEOMETRIC))
-        for t, v in zip(y.path.times[1:], y.path.values[1:]):
-            assert y.path.left_limit(t) == v
+        for t, v in zip(y.times[1:], y.values[1:]):
+            assert y.left_limit(t) == v
 
     def test_monotone_nonincreasing_between_knots(self):
         y = build_y_process(make_announcing_sequence(1.0, 5, HARMONIC))
@@ -199,24 +272,15 @@ class TestHittingTime:
         assert hit.value == 1.0
 
     def test_hand_built_path_hits_at_its_zero_knot(self):
-        from jumptime.core import CadlagPath
-        from jumptime.predictable import YProcess
-
-        path = CadlagPath(times=(0.0, 1.0), values=(1.0, 0.0))
-        y = YProcess(path=path)
+        y = YProcess(times=(0.0, 1.0), values=(1.0, 0.0))
         assert y_hitting_time(y) == TimePoint(1.0)
         assert y.knot_levels == (1.0,) and y.target == TimePoint(1.0)
 
     def test_y_process_validation(self):
-        from jumptime.core import CadlagPath
-        from jumptime.predictable import YProcess
-
-        increasing = CadlagPath(times=(0.0, 1.0), values=(0.0, 1.0))
         with pytest.raises(ValueError, match="nonincreasing"):
-            YProcess(path=increasing)
-        positive_end = CadlagPath(times=(0.0, 1.0), values=(1.0, 0.5))
+            YProcess(times=(0.0, 1.0), values=(0.0, 1.0))
         with pytest.raises(ValueError, match="end at exactly 0"):
-            YProcess(path=positive_end)
+            YProcess(times=(0.0, 1.0), values=(1.0, 0.5))
 
     @pytest.mark.parametrize(
         "values, message",
@@ -229,19 +293,12 @@ class TestHittingTime:
         ids=["negative", "rising", "negative-then-rising"],
     )
     def test_y_process_messages(self, values, message):
-        from jumptime.core import CadlagPath
-        from jumptime.predictable import YProcess
-
-        path = CadlagPath(times=(0.0, 1.0, 2.0, 3.0, 4.0), values=values)
         with pytest.raises(ValueError, match=f"^{message}$"):
-            YProcess(path=path)
+            YProcess(times=(0.0, 1.0, 2.0, 3.0, 4.0), values=values)
 
     def test_y_process_allows_equal_steps(self):
-        from jumptime.core import CadlagPath
-        from jumptime.predictable import YProcess
-
-        path = CadlagPath(times=(0.0, 1.0, 2.0, 3.0), values=(1.0, 0.5, 0.5, 0.0))
-        assert YProcess(path=path).knot_levels == (1.0, 0.5, 0.5)
+        y = YProcess(times=(0.0, 1.0, 2.0, 3.0), values=(1.0, 0.5, 0.5, 0.0))
+        assert y.knot_levels == (1.0, 0.5, 0.5)
 
 
 class TestMakeAnnouncingSequence:
