@@ -394,7 +394,6 @@ class TestExactPaths:
     @example(PowerCompensator(2.0), [0.10836941080951759, 1.480911988623286], [0.6576526478313247])
     @example(PowerCompensator(0.5), [4.63221944483097, 2.2210522455050437], [1.0])
     @example(*SATURATING_EXAMPLES[0])
-    # A bounded A whose finite taus overflow below its supremum.
     @example(*SATURATING_EXAMPLES[1])
     def test_exact_paths_carry_the_scalar_bits(self, A, ss, ts):
         if math.isfinite(A.range_sup):
