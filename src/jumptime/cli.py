@@ -51,13 +51,13 @@ from .predictable import (
 from .processes import (
     C0_WITNESSES,
     DEFAULT_T_SCHEDULE,
+    InfiniteSampleError,
     build_model,
     catalog_names,
     feller_check,
 )
 from .verify import (
     MARTINGALE_Z_LIMIT,
-    InfiniteSampleError,
     default_time_grid,
     exp_law_verify,
     martingale_residual,

@@ -458,6 +458,7 @@ def load_tabulated_csv(path, extrapolation_slope: float = 0.0) -> TabulatedCompe
         raise ValueError(f"row {rows[bad[0]]}: {bad[1]}")
     if len(times) < 2:
         raise ValueError("table needs at least two data rows")
-    if all(v == 0.0 for v in values) and not extrapolation_slope > 0.0:
+    A = TabulatedCompensator(tuple(times), tuple(values), extrapolation_slope)
+    if A.range_sup == 0.0:
         raise ValueError("identically-zero compensator rejected (tau would be infinite)")
-    return TabulatedCompensator(tuple(times), tuple(values), extrapolation_slope)
+    return A

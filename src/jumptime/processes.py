@@ -3,9 +3,11 @@
 A JumpModel is a name, its compensator A and an optional sampler: tau is
 drawn as the Cox time A^{-1}(Z) of an Exp(1) level Z, and its law is
 P(tau <= t) = 1 - exp(-A(t)).  Only the negative control sets a sampler,
-drawing tau through a different compensator than the one it claims.  The
-catalog covers homogeneous and inhomogeneous arrival times, a Markov holding
-time, and a synthetic model whose compensator has a flat piece.
+drawing tau through a different compensator than the one it claims.
+``JumpModel.sample`` maps draws to the pairs (tau, A(tau)) the verifiers
+read, refusing an infinite tau with ``InfiniteSampleError``.  The catalog
+covers homogeneous and inhomogeneous arrival times, a Markov holding time,
+and a synthetic model whose compensator has a flat piece.
 
 The indicator process X_t = 1_{t >= tau} (started at x, jumping to x + 1) is
 Feller; its semigroup has the closed form
@@ -36,6 +38,7 @@ __all__ = [
     "DEFAULT_X_GRID",
     "FellerReport",
     "IndicatorProcessLaw",
+    "InfiniteSampleError",
     "JumpModel",
     "build_model",
     "catalog_models",
@@ -52,6 +55,10 @@ __all__ = [
     "semigroup_apply",
     "tent",
 ]
+
+
+class InfiniteSampleError(RuntimeError):
+    """A model produced an infinite jump time; the law checks assume tau < inf."""
 
 
 @dataclass(frozen=True)
@@ -77,9 +84,16 @@ class JumpModel:
         """Map one Exp(1) draw to tau (INFINITY when the level is never reached)."""
         return self._drawn_through.inverse(z)
 
-    def taus_from_draws(self, zs: np.ndarray) -> np.ndarray:
-        """Map an array of Exp(1) draws to jump times (inf when never)."""
-        return self._drawn_through.inverse_many(zs)
+    def sample(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(tau, A(tau)) per Exp(1) draw: tau from the sampler, A(tau) from the
+        compensator; an infinite tau raises ``InfiniteSampleError`` first."""
+        taus = self._drawn_through.inverse_many(zs)
+        if np.any(np.isinf(taus)):
+            raise InfiniteSampleError(
+                f"model {self.name!r} produced an infinite jump time; "
+                "the exponential-law checks require tau < infinity almost surely"
+            )
+        return taus, self.compensator.evaluate_many(taus)
 
     def tau_cdf(self, t: float) -> float:
         """P(tau <= t) = 1 - exp(-S(t)) at a finite time t."""

@@ -11,9 +11,10 @@ screens for atoms, and separately checks the zero-mean martingale residual
 Each statistic is computed once.  The exponential-law check sorts its samples
 once and reads the KS statistic, the ECDF grid, the largest atom (the longest
 run of equal sorted values) and the integral identity off that one array.
-The martingale check evaluates A(tau) once per call; A(t ^ tau) at each grid
-time t is A(tau) where tau <= t and the array evaluation of A(t) elsewhere,
-which has the same bits because ``evaluate_many`` is elementwise.
+Both checks read the sample (tau, A(tau)) of ``JumpModel.sample``.  The
+martingale check takes A(t ^ tau) at grid time t as A(tau) where tau <= t and
+the array evaluation of A(t) elsewhere: the same bits, because
+``evaluate_many`` is elementwise.
 
 Replication k always uses the random stream with stream_id = k, and results
 are assembled in stream order, so reports are bitwise reproducible.  The n
@@ -29,12 +30,11 @@ import math
 from dataclasses import dataclass
 
 from .core import draw_exponentials, np
-from .processes import JumpModel
+from .processes import InfiniteSampleError, JumpModel
 
 __all__ = [
     "MARTINGALE_Z_LIMIT",
     "ExpLawReport",
-    "InfiniteSampleError",
     "MartingaleReport",
     "default_time_grid",
     "dkw_bound",
@@ -48,10 +48,6 @@ __all__ = [
 
 #: A mean residual this many standard errors from zero fails the martingale check.
 MARTINGALE_Z_LIMIT = 4.0
-
-
-class InfiniteSampleError(RuntimeError):
-    """A model produced an infinite jump time; the law checks assume tau < inf."""
 
 
 def exp1_cdf(x):
@@ -79,23 +75,11 @@ def _exponential_draws(seed: int, n: int) -> np.ndarray:
     return out
 
 
-def _finite_taus(model: JumpModel, zs: np.ndarray) -> np.ndarray:
-    taus = model.taus_from_draws(zs)
-    if np.any(np.isinf(taus)):
-        raise InfiniteSampleError(
-            f"model {model.name!r} produced an infinite jump time; "
-            "the exponential-law checks require tau < infinity almost surely"
-        )
-    return taus
-
-
 def sample_a_tau(model: JumpModel, n: int, seed: int) -> np.ndarray:
     """n independent draws of A(tau), one per stream_id, in stream order."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    zs = _exponential_draws(seed, n)
-    taus = _finite_taus(model, zs)
-    return model.compensator.evaluate_many(taus)
+    return model.sample(_exponential_draws(seed, n))[1]
 
 
 def ks_statistic(samples, reference_cdf) -> float:
@@ -300,17 +284,7 @@ def martingale_residual(
     grid = tuple(float(t) for t in time_grid)
     if any(not math.isfinite(t) or t < 0.0 for t in grid):
         raise ValueError("grid times must be finite and nonnegative")
-    zs = _exponential_draws(seed, n)
-    taus = _finite_taus(model, zs)
-    A = model.compensator
-
-    # A(t ^ tau) is A(tau) where tau <= t and A(t) elsewhere.  A is evaluated
-    # at min(tau, largest grid time), and at t only when some tau exceeds t:
-    # the same times as evaluating A(min(tau, t)) for every t, so the values
-    # and any overflow error are the same.  Both come from evaluate_many,
-    # which is elementwise, so they have the bits of A over the stopped array;
-    # the scalar evaluate uses libm and can differ in the last bit.
-    a_tau = A.evaluate_many(np.minimum(taus, max(grid, default=0.0)))
+    taus, a_tau = model.sample(_exponential_draws(seed, n))
     rows = []
     for t in grid:
         jumped = taus <= t
@@ -318,7 +292,7 @@ def martingale_residual(
         if jumped.all():
             stopped = a_tau
         else:
-            stopped = np.where(jumped, a_tau, A.evaluate_many(np.full(1, t)))
+            stopped = np.where(jumped, a_tau, model.compensator.evaluate_many(np.full(1, t)))
         residual = indicator - stopped
         mean = float(residual.mean())
         if not jumped.any():

@@ -236,6 +236,17 @@ class TestRunExitCodes:
         assert "jump time overflows a float" in lines[0]
         assert f"rate {argv[-1].partition('=')[2]}" in lines[0]
 
+    @pytest.mark.parametrize("command", ["verify-exp-law", "verify-martingale"])
+    def test_infinite_jump_time_is_three(self, capsys, command):
+        # The benchmark classifies a run as infinite_sample by this stderr text.
+        argv = [command, "--model", "power", "--param", "exponent=0.002", "--n", "1000"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        assert "infinite jump time" in lines[0]
+
     def test_overflowing_stream_keeps_the_rows_before_it(self):
         cmd = [sys.executable, "-m", "jumptime.cli", "cox-demo", "--model", "power",
                "--param", "exponent=0.001", "--n", "50", "--seed", "42"]

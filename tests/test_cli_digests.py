@@ -1,6 +1,8 @@
 """Report bytes of a fixed CLI command set, pinned by SHA-256 and exit status.
 
-A change that moves any of these bytes fails here.  The set leaves out
+A change that moves any of these bytes fails here, and so does a host whose
+numpy kernels give other bits: the set is run a second time in a child
+interpreter with numpy's AVX-512 dispatch switched off.  The set leaves out
 ``verify-exp-law``, whose ``ecdf_grid`` column goes through numpy's SIMD
 ``expm1`` and so depends on the host.  Where a change moves bytes on
 purpose, rewrite ``cli_digests.json`` by running this file as a script::
@@ -10,6 +12,9 @@ purpose, rewrite ``cli_digests.json`` by running this file as a script::
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr
 from io import StringIO
@@ -17,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import jumptime
 from jumptime.cli import main
 from jumptime.processes import catalog_names
 
@@ -54,6 +60,25 @@ def digest(argv, directory: Path) -> dict:
     return {"sha256": hashlib.sha256(out.read_bytes()).hexdigest(), "status": status}
 
 
+def all_digests() -> dict:
+    """``digest`` of every command in ``COMMANDS``, keyed by its joined argv."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return {" ".join(argv): digest(argv, Path(tmp)) for argv in COMMANDS}
+
+
+#: numpy's CPU features above X86_V2 that hold its AVX-512 kernels.
+NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}
+
+_CHILD = """
+import json, sys
+from numpy.lib.introspect import opt_func_info
+sys.path.insert(0, sys.argv[1])
+from test_cli_digests import all_digests
+target = opt_func_info(func_name="^expm1$", signature="float64")["expm1"]["dd"]["current"]
+print(json.dumps({"expm1": target, "digests": all_digests()}))
+"""
+
+
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_report_bytes_are_pinned(argv, tmp_path):
     assert digest(argv, tmp_path) == json.loads(DIGESTS.read_text())[" ".join(argv)]
@@ -63,7 +88,21 @@ def test_every_pinned_command_runs():
     assert sorted(json.loads(DIGESTS.read_text())) == sorted(map(" ".join, COMMANDS))
 
 
+def test_pinned_bytes_do_not_depend_on_avx512():
+    src = str(Path(jumptime.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, **NO_AVX512, "PYTHONPATH": path}
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(Path(__file__).resolve().parent)],
+        capture_output=True, text=True, env=env,
+    )
+    assert child.returncode == 0, child.stderr
+    result = json.loads(child.stdout)
+    pinned = json.loads(DIGESTS.read_text())
+    moved = sorted(argv for argv, got in result["digests"].items() if got != pinned[argv])
+    assert sorted(result["digests"]) == sorted(pinned)
+    assert not moved, f"expm1 dispatched to {result['expm1']}; bytes moved for {moved}"
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        pinned = {" ".join(argv): digest(argv, Path(tmp)) for argv in COMMANDS}
-    DIGESTS.write_text(json.dumps(pinned, indent=2) + "\n")
+    DIGESTS.write_text(json.dumps(all_digests(), indent=2) + "\n")

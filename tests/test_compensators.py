@@ -553,3 +553,20 @@ class TestCsvLoader:
         # a positive extrapolation slope rescues it: mass eventually accrues
         A = load_tabulated_csv(path, extrapolation_slope=2.0)
         assert A(2.0) == 2.0
+
+    @pytest.mark.parametrize("slope", [None, 0.0, math.nan])
+    def test_slope_rule_is_the_class_rule_on_every_table(self, tmp_path, slope):
+        # The loader refuses what the class refuses, whatever the table holds:
+        # None is slope 0 on both tables, and nan is a slope error on both.
+        zero = self._write(tmp_path, "t,value\n0,0\n1,0\n")
+        rising = tmp_path / "rising.csv"
+        rising.write_text("t,value\n0,0\n1,1\n")
+        if slope is None or slope == 0.0:
+            with pytest.raises(ValueError, match="identically-zero"):
+                load_tabulated_csv(zero, slope)
+            A = load_tabulated_csv(rising, slope)
+            assert A.extrapolation_slope == 0.0 and A(5.0) == 1.0
+        else:
+            for path in (zero, rising):
+                with pytest.raises(ValueError, match="extrapolation slope"):
+                    load_tabulated_csv(path, slope)

@@ -14,6 +14,8 @@ from jumptime.processes import (
     DEFAULT_T_SCHEDULE,
     DEFAULT_X_GRID,
     IndicatorProcessLaw,
+    InfiniteSampleError,
+    JumpModel,
     build_model,
     catalog_models,
     catalog_names,
@@ -107,9 +109,11 @@ class TestFlatModel:
     def test_vectorized_draws_match_scalar_draws(self):
         model = flat_compensator_model()
         zs = np.array([0.25, 1.0, 1.5, 2.0, 3.0])
+        taus, a_taus = model.sample(zs)
+        scalar_taus = [model.tau_from_z(float(z)) for z in zs]
+        np.testing.assert_array_equal(taus, np.array([tau.value for tau in scalar_taus]))
         np.testing.assert_array_equal(
-            model.taus_from_draws(zs),
-            np.array([model.tau_from_z(float(z)).value for z in zs]),
+            a_taus, np.array([model.compensator.evaluate(tau) for tau in scalar_taus])
         )
 
 
@@ -120,6 +124,20 @@ class TestNegativeControl:
         assert tau == TimePoint(0.5)
         # claimed A(tau) = 0.5 although the draw was 1.0: the mismatch
         assert model.compensator(tau) == 0.5
+
+    def test_sample_pairs_the_samplers_tau_with_the_claimed_compensator(self):
+        zs = np.array([0.5, 1.0, 3.0, 7.25])
+        taus, a_taus = negative_control_model().sample(zs)
+        np.testing.assert_array_equal(taus, zs / 2.0)
+        np.testing.assert_array_equal(a_taus, taus)
+
+
+class TestSample:
+    def test_a_level_past_a_bounded_compensator_raises(self):
+        # Level 2.0 lies above the saturating bound 1.0, so its tau is infinite.
+        model = JumpModel("bounded-demo", SaturatingExpCompensator(limit=1.0, rate=1.0))
+        with pytest.raises(InfiniteSampleError, match="'bounded-demo'.*infinite jump time"):
+            model.sample(np.array([0.5, 2.0]))
 
 
 class TestCatalog:

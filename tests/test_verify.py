@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from jumptime.compensators import SaturatingExpCompensator, TabulatedCompensator
 from jumptime.core import RngStream, draw_exponential
 from jumptime.processes import (
+    InfiniteSampleError,
     JumpModel,
     build_model,
     catalog_models,
@@ -22,7 +23,6 @@ from jumptime.processes import (
 from jumptime.verify import (
     MARTINGALE_Z_LIMIT,
     ExpLawReport,
-    InfiniteSampleError,
     MartingaleReport,
     _Z_CACHE,
     _exponential_draws,
@@ -383,9 +383,8 @@ def reference_exp_law(model, n, alpha, seed):
 
 
 def reference_martingale(model, n, time_grid, seed):
-    taus = model.taus_from_draws(_exponential_draws(seed, n))
-    if np.any(np.isinf(taus)):
-        raise InfiniteSampleError(model.name)
+    # Only the taus come from the sample; A(min(tau, t)) is evaluated per t.
+    taus = model.sample(_exponential_draws(seed, n))[0]
     rows = []
     for t in time_grid:
         indicator = (taus <= t).astype(float)
