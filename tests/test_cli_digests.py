@@ -99,8 +99,8 @@ def test_pinned_bytes_do_not_depend_on_avx512():
     assert child.returncode == 0, child.stderr
     result = json.loads(child.stdout)
     pinned = json.loads(DIGESTS.read_text())
-    moved = sorted(argv for argv, got in result["digests"].items() if got != pinned[argv])
     assert sorted(result["digests"]) == sorted(pinned)
+    moved = sorted(argv for argv, got in result["digests"].items() if got != pinned[argv])
     assert not moved, f"expm1 dispatched to {result['expm1']}; bytes moved for {moved}"
 
 
