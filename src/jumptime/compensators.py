@@ -24,7 +24,12 @@ that names the level and the parameters).  ``Compensator`` builds the rest:
 
 A class overrides an array method only where numpy may stand in.  Linear and
 tabulated use only correctly rounded ``+ - * /``, so numpy gives their
-``*_exact`` columns with the scalar bits.  Power keeps numpy
+``*_exact`` columns with the scalar bits.  A tabulated compensator builds its
+knot arrays once, on its first array call, so a command that maps nothing
+never loads numpy.  Its array forms interpolate every element on the segment
+a search finds, then mend the rare elements by index: a knot hit (the left
+edge of a flat, for a level), a zero level, and a time or level at or past
+the last knot.  Power keeps numpy
 ``evaluate_many``/``inverse_many`` for the verifiers, whose report bytes
 depend on them: numpy's pow differs from libm's in the last bit, and an
 overflowed tau comes back as inf.  Saturating has no numpy twin, so every
@@ -40,6 +45,7 @@ import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import INFINITY, TimeLike, TimePoint, as_timepoint, np
 
@@ -300,14 +306,24 @@ def _lerp(x: float, x0: float, x1: float, y0: float, y1: float) -> float:
 
 
 def _lerp_many(x, x0, x1, y0, y1) -> np.ndarray:
-    """Array twin of ``_lerp``; a zero-width segment gives nan or inf, for the caller to mask."""
+    """Array twin of ``_lerp``; a zero-width segment gives nan or inf, for the caller to mend."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         step = (x - x0) * (y1 - y0)
-        out = y0 + step / (x1 - x0)
-        wide = np.isinf(step)
-        if wide.any():
-            out = np.where(wide, y0 + (x - x0) / (x1 - x0) * (y1 - y0), out)
+        wide = np.flatnonzero(np.isinf(step))
+        out = np.add(y0, np.divide(step, x1 - x0, out=step), out=step)
+        if wide.size:
+            x, x0, x1, y0, y1 = x[wide], x0[wide], x1[wide], y0[wide], y1[wide]
+            out[wide] = y0 + (x - x0) / (x1 - x0) * (y1 - y0)
     return out
+
+
+class _KnotError(ValueError):
+    """A knot that breaks a table's invariants: "knot i: reason"."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"knot {index}: {reason}")
+        self.index = index
+        self.reason = reason
 
 
 def _first_bad_knot(times, values) -> tuple[int, str] | None:
@@ -351,7 +367,7 @@ class TabulatedCompensator(Compensator):
             raise ValueError("times and values must have equal length")
         bad = _first_bad_knot(times, values)
         if bad is not None:
-            raise ValueError(f"knot {bad[0]}: {bad[1]}")
+            raise _KnotError(*bad)
         slope = 0.0 if self.extrapolation_slope is None else float(self.extrapolation_slope)
         if not (math.isfinite(slope) and slope >= 0.0):
             raise ValueError("extrapolation slope must be finite and nonnegative")
@@ -389,38 +405,43 @@ class TabulatedCompensator(Compensator):
             f"{self.extrapolation_slope}"
         )
 
+    @cached_property
+    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The knot times and values as arrays, built on the first array call."""
+        return np.array(self.times), np.array(self.values)
+
     def evaluate_exact(self, ts):
         ts = self._check_times(ts)
-        times = np.asarray(self.times)
-        values = np.asarray(self.values)
-        i = np.maximum(np.searchsorted(times, ts, side="right") - 1, 0)
-        ip = np.minimum(i + 1, len(times) - 1)
+        times, values = self._knots
+        # i indexes the segment [times[i], times[i + 1]] holding t.
+        i = np.searchsorted(times[1:-1], ts, side="right")
         t0, v0 = times[i], values[i]
-        out = np.where(ts == t0, v0, _lerp_many(ts, t0, times[ip], v0, values[ip]))
+        out = _lerp_many(ts, t0, times[1:][i], v0, values[1:][i])
+        hit = np.flatnonzero(ts == t0)
+        out[hit] = v0[hit]
+        tail = np.flatnonzero(ts >= times[-1])
         slope = self.extrapolation_slope
         # A bounded table's tail is its last value, at +inf too (0 * inf is nan).
         with np.errstate(over="ignore"):
-            tail = values[-1] + slope * (ts - times[-1]) if slope > 0.0 else values[-1]
-        return self._finite_values(ts, np.where(ts >= times[-1], tail, out))
+            out[tail] = values[-1] + slope * (ts[tail] - times[-1]) if slope > 0.0 else values[-1]
+        return self._finite_values(ts, out)
 
     def inverse_exact(self, ss):
         ss = _check_nonnegative(ss)
-        times = np.asarray(self.times)
-        values = np.asarray(self.values)
-        j = np.minimum(np.searchsorted(values, ss, side="left"), len(values) - 1)
-        jm = np.maximum(j - 1, 0)
-        interp = _lerp_many(ss, values[jm], values[j], times[jm], times[j])
-        out = np.where(values[j] == ss, times[j], interp)
-        out = np.where(ss == 0.0, 0.0, out)
-        above = ss > values[-1]
-        if np.any(above):
-            slope = self.extrapolation_slope
-            if slope > 0.0:
-                with np.errstate(over="ignore"):
-                    tail = times[-1] + (ss - values[-1]) / slope
-            else:
-                tail = math.inf
-            out = np.where(above, tail, out)
+        times, values = self._knots
+        # j indexes the segment [values[j], values[j + 1]] whose top is the
+        # first knot value at or above s.
+        j = np.searchsorted(values[1:-1], ss, side="left")
+        t1, v1 = times[1:][j], values[1:][j]
+        out = _lerp_many(ss, values[j], v1, times[j], t1)
+        # First knot attaining the level: the exact left edge of any flat.
+        hit = np.flatnonzero(v1 == ss)
+        out[hit] = t1[hit]
+        out[np.flatnonzero(ss == 0.0)] = 0.0
+        above = np.flatnonzero(ss > values[-1])
+        slope = self.extrapolation_slope
+        with np.errstate(over="ignore"):
+            out[above] = times[-1] + (ss[above] - values[-1]) / slope if slope > 0.0 else math.inf
         return out
 
 
@@ -453,12 +474,12 @@ def load_tabulated_csv(path, extrapolation_slope: float = 0.0) -> TabulatedCompe
             rows.append(idx)
             times.append(t)
             values.append(v)
-    bad = _first_bad_knot(times, values)
-    if bad is not None:
-        raise ValueError(f"row {rows[bad[0]]}: {bad[1]}")
     if len(times) < 2:
         raise ValueError("table needs at least two data rows")
-    A = TabulatedCompensator(tuple(times), tuple(values), extrapolation_slope)
+    try:
+        A = TabulatedCompensator(tuple(times), tuple(values), extrapolation_slope)
+    except _KnotError as bad:
+        raise ValueError(f"row {rows[bad.index]}: {bad.reason}") from None
     if A.range_sup == 0.0:
         raise ValueError("identically-zero compensator rejected (tau would be infinite)")
     return A

@@ -13,8 +13,14 @@ once and reads the KS statistic, the ECDF grid, the largest atom (the longest
 run of equal sorted values) and the integral identity off that one array.
 Both checks read the sample (tau, A(tau)) of ``JumpModel.sample``.  The
 martingale check takes A(t ^ tau) at grid time t as A(tau) where tau <= t and
-the array evaluation of A(t) elsewhere: the same bits, because
-``evaluate_many`` is elementwise.
+A(t) elsewhere, from one ``evaluate_many`` call over the grid times some row
+has not reached, kept in grid order: the same bits as one call per time,
+because ``evaluate_many`` is elementwise, and a time past every tau is never
+evaluated.  Each residual is the blend
+``jumped * (1.0 - A(tau)) + (not jumped) * (0.0 - A(t))``, which is exactly
+the selected term: the other product is +0.0 or -0.0, adding either leaves
+any value but -0.0 unchanged, and neither ``1.0 - a`` nor ``0.0 - a`` rounds
+to -0.0.  The standard deviation reuses the mean already summed.
 
 Replication k always uses the random stream with stream_id = k, and results
 are assembled in stream order, so reports are bitwise reproducible.  The n
@@ -98,10 +104,13 @@ def _ks_sorted(xs: np.ndarray, reference_cdf) -> float:
     if n == 0:
         raise ValueError("ks_statistic needs at least one sample")
     F = np.asarray(reference_cdf(xs), float)
-    i = np.arange(1, n + 1)
-    upper = np.abs(i / n - F)
-    lower = np.abs((i - 1) / n - F)
-    return float(np.maximum(upper, lower).max())
+    # steps[i] has the bits of i / n, so steps[1:] is i / n and steps[:-1] is
+    # (i - 1) / n; the larger of the two maxima is the maximum of the pairs.
+    steps = np.arange(n + 1) / n
+    d = np.subtract(steps[1:], F)
+    upper = np.abs(d, out=d).max()
+    np.subtract(steps[:-1], F, out=d)
+    return float(max(upper, np.abs(d, out=d).max()))
 
 
 def dkw_bound(n: int, alpha: float) -> float:
@@ -139,7 +148,10 @@ def _ode_identity_sorted(xs: np.ndarray, grid) -> float:
 
 def _longest_run(xs: np.ndarray) -> int:
     """Length of the longest run of equal values in a nonempty sorted array."""
-    starts = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    same = xs[1:] == xs[:-1]
+    if not same.any():
+        return 1
+    starts = np.flatnonzero(~same) + 1
     return int(np.diff(starts, prepend=0, append=len(xs)).max())
 
 
@@ -285,21 +297,32 @@ def martingale_residual(
     if any(not math.isfinite(t) or t < 0.0 for t in grid):
         raise ValueError("grid times must be finite and nonnegative")
     taus, a_tau = model.sample(_exponential_draws(seed, n))
+    # A(t) at the grid times some row has not reached, in grid order, so a
+    # time past every tau is never evaluated.
+    last = taus.max()
+    unreached = np.array([t for t in grid if t < last])
+    a_at = iter(model.compensator.evaluate_many(unreached).tolist())
+    one_minus = 1.0 - a_tau
+    jumped = np.empty(n, bool)
+    residual, spare = np.empty(n), np.empty(n)
     rows = []
     for t in grid:
-        jumped = taus <= t
-        indicator = jumped.astype(float)
-        if jumped.all():
-            stopped = a_tau
+        np.less_equal(taus, t, out=jumped)
+        k = np.count_nonzero(jumped)
+        if k == n:
+            r = one_minus
         else:
-            stopped = np.where(jumped, a_tau, model.compensator.evaluate_many(np.full(1, t)))
-        residual = indicator - stopped
-        mean = float(residual.mean())
-        if not jumped.any():
+            # 1.0 - A(tau) where jumped, 0.0 - A(t) elsewhere, exactly: the
+            # other term is +-0.0 and neither value is -0.0.
+            np.multiply(jumped, one_minus, out=residual)
+            np.multiply(~jumped, 0.0 - next(a_at), out=spare)
+            r = np.add(residual, spare, out=residual)
+        mean = r.mean()
+        if k == 0:
             # Every residual is -A(t ^ tau), so E[A(t ^ tau)] is |mean|.
-            stderr = math.sqrt(abs(mean) / n)
+            stderr = math.sqrt(abs(float(mean)) / n)
         else:
-            stderr = float(residual.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        rows.append((t, mean, stderr))
+            stderr = float(r.std(ddof=1, mean=mean) / math.sqrt(n)) if n > 1 else 0.0
+        rows.append((t, float(mean), stderr))
 
     return MartingaleReport(model_name=model.name, n=n, seed=seed, residuals=tuple(rows))

@@ -263,6 +263,15 @@ class TestTabulated:
         assert A.inverse(2.0) == TimePoint(3.0)
         assert A.inverse(2.5) == TimePoint(3.5)
 
+    def test_array_calls_keep_equality_and_hash(self):
+        # The knot arrays an array call builds are no part of the value.
+        A, B = flat_table(), flat_table()
+        A.evaluate_exact(np.array([0.5, 2.5]))
+        A.inverse_exact(np.array([0.5, 1.0]))
+        assert A == B and hash(A) == hash(B)
+        assert B.evaluate_exact(np.array([0.5, 2.5])).tolist() == [0.5, 1.5]
+        assert A == B and hash(A) == hash(B)
+
     def test_bounded_table_without_extrapolation(self):
         A = TabulatedCompensator((0.0, 1.0), (0.0, 1.0))
         assert A.range_sup == 1.0
@@ -420,6 +429,28 @@ class TestExactPaths:
             times = mapped + ts
             evaluated = A.evaluate_exact(np.array(times))
         np.testing.assert_array_equal(bits(evaluated), bits([A.evaluate(t) for t in times]))
+
+    @given(tabulated_compensators())
+    @example(flat_table())
+    # Bounded, ending on a flat: the top level is hit at the flat's left edge.
+    @example(TabulatedCompensator((0.0, 1.0, 2.0), (0.0, 1.0, 1.0)))
+    # A -0.0 knot value, whose bits only the knot-hit branch returns.
+    @example(TabulatedCompensator((0.0, 1.0, 2.0), (-0.0, -0.0, 1.0), 2.0))
+    def test_tabulated_maps_on_and_between_the_knots(self, A):
+        # Random floats almost never hit a knot.  These levels and times sit
+        # on every knot, between neighbours and past the last one (+inf too
+        # on a bounded table), in reverse order, so each rare branch runs.
+        ss = on_and_between(A.values)
+        ts = on_and_between(A.times)
+        if math.isfinite(A.range_sup):
+            ss.append(math.inf)
+            ts.append(math.inf)
+        ss, ts = ss[::-1], ts[::-1]
+        evaluated, inverted = scalar_paths(A, ts, ss)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(bits(A.inverse_exact(np.array(ss))), bits(inverted))
+            np.testing.assert_array_equal(bits(A.evaluate_exact(np.array(ts))), bits(evaluated))
 
 
 #: Unbounded compensators with a finite time whose A is past the float range.

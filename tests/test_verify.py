@@ -421,8 +421,14 @@ REFERENCE_MODELS = (
 )
 
 #: The default grid; one with 0 and times below every tau (the no-jump rows);
-#: and the empty grid.
-REFERENCE_GRIDS = (default_time_grid(), (0.0, 1e-12, 1e-3, 0.7, 3.0, 40.0), ())
+#: the empty grid; and an unsorted grid with a repeated time and one past
+#: every tau, which must come back in the order given.
+REFERENCE_GRIDS = (
+    default_time_grid(),
+    (0.0, 1e-12, 1e-3, 0.7, 3.0, 40.0),
+    (),
+    (3.0, 0.7, 40.0, 0.7, 1e-12),
+)
 
 
 class TestAgainstTheReference:
