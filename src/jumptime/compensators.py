@@ -29,7 +29,11 @@ knot arrays once, on its first array call, so a command that maps nothing
 never loads numpy.  Its array forms interpolate every element on the segment
 a search finds, then mend the rare elements by index: a knot hit (the left
 edge of a flat, for a level), a zero level, and a time or level at or past
-the last knot.  Power keeps numpy
+the last knot.  The segment search (``_KnotSearch``, built with the knot
+arrays) starts each key at its equal-width bucket's first knot and steps to
+``np.searchsorted``'s exact index, handing the few keys still unplaced to
+``np.searchsorted``, so unsorted keys cost a few array passes rather than a
+branchy binary search each.  Power keeps numpy
 ``evaluate_many``/``inverse_many`` for the verifiers, whose report bytes
 depend on them: numpy's pow differs from libm's in the last bit, and an
 overflowed tau comes back as inf.  Saturating has no numpy twin, so every
@@ -317,6 +321,52 @@ def _lerp_many(x, x0, x1, y0, y1) -> np.ndarray:
     return out
 
 
+class _KnotSearch:
+    """``np.searchsorted(knots, keys, side)`` for one sorted knot array, by bucket.
+
+    The knots' range is cut into two equal-width buckets per knot.  A key
+    starts at the first knot whose bucket is not below its own, found with
+    the same float formula for knots and keys, so that start is never past
+    the exact index; it then steps over the knots it has passed, at most
+    ``STEPS`` times.  Keys that still moved on the last step go to
+    ``np.searchsorted``.  Either way the result is searchsorted's index.
+    """
+
+    STEPS = 2
+
+    def __init__(self, knots: np.ndarray, side: str):
+        self.knots, self.side = knots, side
+        # A knot at index m is NaN, which no key passes.
+        self._padded = np.append(knots, np.nan)
+        self._passed = np.less if side == "left" else np.less_equal
+        if knots.size:
+            self._lo, self._hi = float(knots[0]), float(knots[-1])
+            buckets = 2 * knots.size
+            scale = buckets / (self._hi - self._lo) if self._hi > self._lo else 0.0
+            self._scale = scale if math.isfinite(scale) else 0.0
+            # first[b] counts the knots in buckets below b; a key at hi lands in bucket ``buckets``.
+            self._first = np.searchsorted(self._bucket(knots), np.arange(buckets + 1))
+
+    def _bucket(self, keys: np.ndarray) -> np.ndarray:
+        """Bucket of each key: nondecreasing in the key, +inf included."""
+        b = np.clip(keys, self._lo, self._hi)
+        b -= self._lo
+        b *= self._scale
+        return b.astype(np.intp)
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        if not self.knots.size:
+            return np.zeros(keys.shape, np.intp)
+        idx = self._first[self._bucket(keys)]
+        for _ in range(self.STEPS):
+            moved = self._passed(self._padded[idx], keys)
+            idx += moved
+        rest = np.flatnonzero(moved)
+        if rest.size:
+            idx[rest] = np.searchsorted(self.knots, keys[rest], side=self.side)
+        return idx
+
+
 class _KnotError(ValueError):
     """A knot that breaks a table's invariants: "knot i: reason"."""
 
@@ -410,11 +460,17 @@ class TabulatedCompensator(Compensator):
         """The knot times and values as arrays, built on the first array call."""
         return np.array(self.times), np.array(self.values)
 
+    @cached_property
+    def _segments(self) -> tuple[_KnotSearch, _KnotSearch]:
+        """Segment searches over the inner knots: times (side right), then values (side left)."""
+        times, values = self._knots
+        return _KnotSearch(times[1:-1], "right"), _KnotSearch(values[1:-1], "left")
+
     def evaluate_exact(self, ts):
         ts = self._check_times(ts)
         times, values = self._knots
         # i indexes the segment [times[i], times[i + 1]] holding t.
-        i = np.searchsorted(times[1:-1], ts, side="right")
+        i = self._segments[0](ts)
         t0, v0 = times[i], values[i]
         out = _lerp_many(ts, t0, times[1:][i], v0, values[1:][i])
         hit = np.flatnonzero(ts == t0)
@@ -431,7 +487,7 @@ class TabulatedCompensator(Compensator):
         times, values = self._knots
         # j indexes the segment [values[j], values[j + 1]] whose top is the
         # first knot value at or above s.
-        j = np.searchsorted(values[1:-1], ss, side="left")
+        j = self._segments[1](ss)
         t1, v1 = times[1:][j], values[1:][j]
         out = _lerp_many(ss, values[j], v1, times[j], t1)
         # First knot attaining the level: the exact left edge of any flat.

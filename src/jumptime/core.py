@@ -203,34 +203,41 @@ _LOW32 = 0xFFFFFFFF
 _DRAW_BLOCK = 16384
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit halves of the 128-bit products m * x."""
+def _mulhi(m: int, x: np.ndarray) -> np.ndarray:
+    """High 64-bit halves of the 128-bit products m * x, from 32-bit halves."""
     m_lo, m_hi = m & _LOW32, m >> 32
     x_lo, x_hi = x & _LOW32, x >> 32
     lo_lo = m_lo * x_lo
     hi_lo = m_hi * x_lo
     lo_hi = m_lo * x_hi
     cross = (lo_lo >> 32) + (hi_lo & _LOW32) + lo_hi
-    hi = m_hi * x_hi + (hi_lo >> 32) + (cross >> 32)
-    return hi, m * x
+    return m_hi * x_hi + (hi_lo >> 32) + (cross >> 32)
 
 
 def _philox_first_words(seed: int, stream_ids: np.ndarray) -> np.ndarray:
     """First output word of ``RngStream(seed, k)``'s generator for each id k.
 
     The key is ``(seed, k)``; the counter is ``(1, 0, 0, 0)``, because numpy
-    bumps the counter before it computes its first block.
+    bumps the counter before it computes its first block.  That counter makes
+    every product of round 0 a constant, and round 1's product with word 0 a
+    constant too, so rounds 0 and 1 are written out with one vector product.
+    Round 9 needs only word 0, the high half of its one product.
     """
     ids = np.asarray(stream_ids, dtype=np.uint64)
-    zeros = np.zeros_like(ids)
-    c0, c1, c2, c3 = np.ones_like(ids), zeros, zeros, zeros
-    for r in range(10):
-        k0 = np.uint64((seed + r * _PHILOX_W0) % 2**64)
-        k1 = ids + np.uint64(r * _PHILOX_W1 % 2**64)
-        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0
+    # After round 0 the counter is (seed, 0, ids, M0).  Round 1 multiplies
+    # the scalar words seed and ids.
+    p0 = _PHILOX_M0 * seed
+    c0 = _mulhi(_PHILOX_M1, ids) ^ (seed + _PHILOX_W0) % 2**64
+    c1 = _PHILOX_M1 * ids
+    c2 = (ids + _PHILOX_W1) ^ ((p0 >> 64) ^ _PHILOX_M0)
+    c3 = p0 % 2**64
+    for r in range(2, 9):
+        k0 = (seed + r * _PHILOX_W0) % 2**64
+        k1 = ids + r * _PHILOX_W1 % 2**64
+        hi0 = _mulhi(_PHILOX_M0, c0)
+        hi1 = _mulhi(_PHILOX_M1, c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, _PHILOX_M1 * c2, hi0 ^ c3 ^ k1, _PHILOX_M0 * c0
+    return _mulhi(_PHILOX_M1, c2) ^ c1 ^ (seed + 9 * _PHILOX_W0) % 2**64
 
 
 def _exponentials_from_words(words: np.ndarray) -> np.ndarray:

@@ -5,9 +5,12 @@ drawn as the Cox time A^{-1}(Z) of an Exp(1) level Z, and its law is
 P(tau <= t) = 1 - exp(-A(t)).  Only the negative control sets a sampler,
 drawing tau through a different compensator than the one it claims.
 ``JumpModel.sample`` maps draws to the pairs (tau, A(tau)) the verifiers
-read, refusing an infinite tau with ``InfiniteSampleError``.  The catalog
-covers homogeneous and inhomogeneous arrival times, a Markov holding time,
-and a synthetic model whose compensator has a flat piece.
+read, refusing an infinite tau with ``InfiniteSampleError``.  It maps the
+draws a block at a time, into the caller's arrays or fresh ones, so that no
+map makes a full-length temporary, and raises the error one whole-array map
+would raise first.  The catalog covers homogeneous and inhomogeneous arrival
+times, a Markov holding time, and a synthetic model whose compensator has a
+flat piece.
 
 The indicator process X_t = 1_{t >= tau} (started at x, jumping to x + 1) is
 Feller; its semigroup has the closed form
@@ -24,11 +27,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from . import core
 from .compensators import (
     Compensator,
     LinearCompensator,
     PowerCompensator,
     TabulatedCompensator,
+    _check_nonnegative,
 )
 from .core import RngStream, TimeLike, TimePoint, as_timepoint, draw_exponential, np
 
@@ -84,16 +89,31 @@ class JumpModel:
         """Map one Exp(1) draw to tau (INFINITY when the level is never reached)."""
         return self._drawn_through.inverse(z)
 
-    def sample(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def sample(self, zs, out=None) -> tuple[np.ndarray, np.ndarray]:
         """(tau, A(tau)) per Exp(1) draw: tau from the sampler, A(tau) from the
-        compensator; an infinite tau raises ``InfiniteSampleError`` first."""
-        taus = self._drawn_through.inverse_many(zs)
-        if np.any(np.isinf(taus)):
+        compensator; an infinite tau raises ``InfiniteSampleError``.
+
+        The draws are mapped ``core._DRAW_BLOCK`` at a time, into ``out`` (a
+        pair of float arrays as long as ``zs``) when it is given, else into
+        fresh arrays, so no map makes a temporary longer than a block.  The
+        checks keep the order of one whole-array map: the levels are checked,
+        every block is inverted, then tau < inf is checked, then every block
+        is evaluated.  Both maps are elementwise, so every value and every
+        error is the one the whole-array maps give.
+        """
+        zs = _check_nonnegative(zs)
+        taus, a_taus = (np.empty(len(zs)), np.empty(len(zs))) if out is None else out
+        blocks = [slice(i, i + core._DRAW_BLOCK) for i in range(0, len(zs), core._DRAW_BLOCK)]
+        for b in blocks:
+            taus[b] = self._drawn_through.inverse_many(zs[b])
+        if np.isinf(taus).any():
             raise InfiniteSampleError(
                 f"model {self.name!r} produced an infinite jump time; "
                 "the exponential-law checks require tau < infinity almost surely"
             )
-        return taus, self.compensator.evaluate_many(taus)
+        for b in blocks:
+            a_taus[b] = self.compensator.evaluate_many(taus[b])
+        return taus, a_taus
 
     def tau_cdf(self, t: float) -> float:
         """P(tau <= t) = 1 - exp(-S(t)) at a finite time t."""

@@ -20,7 +20,17 @@ evaluated.  Each residual is the blend
 ``jumped * (1.0 - A(tau)) + (not jumped) * (0.0 - A(t))``, which is exactly
 the selected term: the other product is +0.0 or -0.0, adding either leaves
 any value but -0.0 unchanged, and neither ``1.0 - a`` nor ``0.0 - a`` rounds
-to -0.0.  The standard deviation reuses the mean already summed.
+to -0.0.  The standard deviation reuses the mean already summed, and the
+times every row has jumped by share one (mean, stderr): their residual is
+1 - A(tau) at each of them.
+
+Each thread keeps one set of scratch arrays for the current n (``_scratch``),
+so a run of verifications allocates its full-length arrays once rather than
+once per call: the sample lands there, A(tau) is sorted in place, 1 - A(tau)
+is written over A(tau), the residual and its squared deviations are built in
+two buffers, and KS's step array i / n is kept.  The scratch is made only
+after the draws, so an n too large to draw fails as it did before, and no
+array a caller receives is ever scratch unless it asked for it.
 
 Replication k always uses the random stream with stream_id = k, and results
 are assembled in stream order, so reports are bitwise reproducible.  The n
@@ -33,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 from .core import draw_exponentials, np
@@ -56,9 +67,12 @@ __all__ = [
 MARTINGALE_Z_LIMIT = 4.0
 
 
-def exp1_cdf(x):
-    """CDF of the unit exponential, accurate near 0; accepts arrays."""
-    return -np.expm1(-np.asarray(x, float))
+def exp1_cdf(x, out=None):
+    """CDF of the unit exponential, accurate near 0; accepts arrays, and fills
+    ``out`` when it is given."""
+    if out is None:
+        return -np.expm1(-np.asarray(x, float))
+    return np.negative(np.expm1(np.negative(x, out=out), out=out), out=out)
 
 
 #: Draws are pure functions of (seed, n); a model sweep asks for the same two
@@ -81,11 +95,45 @@ def _exponential_draws(seed: int, n: int) -> np.ndarray:
     return out
 
 
-def sample_a_tau(model: JumpModel, n: int, seed: int) -> np.ndarray:
-    """n independent draws of A(tau), one per stream_id, in stream order."""
+class _Scratch:
+    """One thread's work arrays for n samples: tau, A(tau), two float buffers,
+    a bool mask and KS's step array, whose entry i has the bits of i / n."""
+
+    def __init__(self, n: int):
+        self.taus, self.a, self.residual, self.spare = (np.empty(n) for _ in range(4))
+        self.jumped = np.empty(n, bool)
+        self.steps = np.arange(n + 1) / n
+
+
+_THREAD = threading.local()
+
+
+def _scratch(n: int) -> _Scratch:
+    """This thread's scratch arrays for n samples, rebuilt only when n changes.
+
+    Callers draw first, so a draw that cannot be allocated fails before any
+    scratch array is.
+    """
+    held = getattr(_THREAD, "scratch", None)
+    if held is None or len(held.taus) != n:
+        _THREAD.scratch = None  # free the old arrays before allocating new ones
+        held = _THREAD.scratch = _Scratch(n)
+    return held
+
+
+def sample_a_tau(model: JumpModel, n: int, seed: int, *, scratch: bool = False) -> np.ndarray:
+    """n independent draws of A(tau), one per stream_id, in stream order.
+
+    The result is a fresh array, or with ``scratch`` this thread's scratch
+    array, which the thread's next verification overwrites.
+    """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    return model.sample(_exponential_draws(seed, n))[1]
+    zs = _exponential_draws(seed, n)
+    if not scratch:
+        return model.sample(zs)[1]
+    held = _scratch(n)
+    return model.sample(zs, out=(held.taus, held.a))[1]
 
 
 def ks_statistic(samples, reference_cdf) -> float:
@@ -95,22 +143,24 @@ def ks_statistic(samples, reference_cdf) -> float:
     ``reference_cdf`` is called once, on the whole sorted sample array, and
     must return an array of the same shape (``exp1_cdf`` does).
     """
-    return _ks_sorted(np.sort(np.asarray(samples, float)), reference_cdf)
-
-
-def _ks_sorted(xs: np.ndarray, reference_cdf) -> float:
-    """``ks_statistic`` of samples already sorted ascending."""
+    xs = np.sort(np.asarray(samples, float))
     n = len(xs)
     if n == 0:
         raise ValueError("ks_statistic needs at least one sample")
     F = np.asarray(reference_cdf(xs), float)
-    # steps[i] has the bits of i / n, so steps[1:] is i / n and steps[:-1] is
-    # (i - 1) / n; the larger of the two maxima is the maximum of the pairs.
-    steps = np.arange(n + 1) / n
-    d = np.subtract(steps[1:], F)
-    upper = np.abs(d, out=d).max()
-    np.subtract(steps[:-1], F, out=d)
-    return float(max(upper, np.abs(d, out=d).max()))
+    return _ks_distance(F, np.arange(n + 1) / n, np.empty(n))
+
+
+def _ks_distance(F: np.ndarray, steps: np.ndarray, work: np.ndarray) -> float:
+    """KS distance of sorted samples whose reference CDF values are F.
+
+    steps[i] has the bits of i / n, so steps[1:] is i / n and steps[:-1] is
+    (i - 1) / n; the larger of the two maxima is the maximum of the pairs.
+    ``work`` is an array as long as F, overwritten.
+    """
+    upper = np.abs(np.subtract(steps[1:], F, out=work), out=work).max()
+    lower = np.abs(np.subtract(steps[:-1], F, out=work), out=work).max()
+    return float(max(upper, lower))
 
 
 def dkw_bound(n: int, alpha: float) -> float:
@@ -200,8 +250,11 @@ class ExpLawReport:
 def exp_law_verify(model: JumpModel, n: int, alpha: float, seed: int) -> ExpLawReport:
     """Sample A(tau) and test it against the unit exponential law."""
     bound = dkw_bound(n, alpha)
-    a_sorted = np.sort(sample_a_tau(model, n, seed))
-    ks = _ks_sorted(a_sorted, exp1_cdf)
+    a_sorted = sample_a_tau(model, n, seed, scratch=True)
+    a_sorted.sort()
+    held = _scratch(n)
+    # The reference CDF goes over tau, which is no longer needed.
+    ks = _ks_distance(exp1_cdf(a_sorted, out=held.taus), held.steps, held.spare)
 
     levels = (np.arange(1, 51) - 0.5) / 50.0
     ts = -np.log1p(-levels)
@@ -296,33 +349,51 @@ def martingale_residual(
     grid = tuple(float(t) for t in time_grid)
     if any(not math.isfinite(t) or t < 0.0 for t in grid):
         raise ValueError("grid times must be finite and nonnegative")
-    taus, a_tau = model.sample(_exponential_draws(seed, n))
+    zs = _exponential_draws(seed, n)
+    held = _scratch(n)
+    taus, one_minus = model.sample(zs, out=(held.taus, held.a))
+    np.subtract(1.0, one_minus, out=one_minus)
     # A(t) at the grid times some row has not reached, in grid order, so a
     # time past every tau is never evaluated.
     last = taus.max()
     unreached = np.array([t for t in grid if t < last])
     a_at = iter(model.compensator.evaluate_many(unreached).tolist())
-    one_minus = 1.0 - a_tau
-    jumped = np.empty(n, bool)
-    residual, spare = np.empty(n), np.empty(n)
+    jumped, residual, spare = held.jumped, held.residual, held.spare
+    all_jumped = None  # (mean, stderr) at the times every row has jumped by
     rows = []
     for t in grid:
+        if t >= last:
+            # Every residual is 1 - A(tau): the same array at each such time.
+            if all_jumped is None:
+                all_jumped = _mean_and_stderr(one_minus, spare)
+            rows.append((t, *all_jumped))
+            continue
         np.less_equal(taus, t, out=jumped)
         k = np.count_nonzero(jumped)
-        if k == n:
-            r = one_minus
-        else:
-            # 1.0 - A(tau) where jumped, 0.0 - A(t) elsewhere, exactly: the
-            # other term is +-0.0 and neither value is -0.0.
-            np.multiply(jumped, one_minus, out=residual)
-            np.multiply(~jumped, 0.0 - next(a_at), out=spare)
-            r = np.add(residual, spare, out=residual)
-        mean = r.mean()
+        # 1.0 - A(tau) where jumped, 0.0 - A(t) elsewhere, exactly: the
+        # other term is +-0.0 and neither value is -0.0.
+        np.multiply(jumped, one_minus, out=residual)
+        np.multiply(np.logical_not(jumped, out=jumped), 0.0 - next(a_at), out=spare)
+        r = np.add(residual, spare, out=residual)
         if k == 0:
             # Every residual is -A(t ^ tau), so E[A(t ^ tau)] is |mean|.
-            stderr = math.sqrt(abs(float(mean)) / n)
+            mean = float(r.mean())
+            rows.append((t, mean, math.sqrt(abs(mean) / n)))
         else:
-            stderr = float(r.std(ddof=1, mean=mean) / math.sqrt(n)) if n > 1 else 0.0
-        rows.append((t, float(mean), stderr))
+            rows.append((t, *_mean_and_stderr(r, spare)))
 
     return MartingaleReport(model_name=model.name, n=n, seed=seed, residuals=tuple(rows))
+
+
+def _mean_and_stderr(r: np.ndarray, work: np.ndarray) -> tuple[float, float]:
+    """Mean of r and its standard error, ``r.std(ddof=1) / sqrt(n)``, 0 for n = 1.
+
+    The squared deviations go to ``work``; ``sqrt(sum / (n - 1))`` over them
+    has ``std``'s bits, since numpy's ``std`` computes exactly that.
+    """
+    n = len(r)
+    mean = r.mean()
+    if n == 1:
+        return float(mean), 0.0
+    sq = np.square(np.subtract(r, mean, out=work), out=work)
+    return float(mean), math.sqrt(np.add.reduce(sq) / (n - 1)) / math.sqrt(n)

@@ -16,6 +16,7 @@ from jumptime.compensators import (
     PowerCompensator,
     SaturatingExpCompensator,
     TabulatedCompensator,
+    _KnotSearch,
     load_tabulated_csv,
 )
 from jumptime.core import INFINITY, TimePoint
@@ -379,15 +380,70 @@ class TestVectorPaths:
         np.testing.assert_allclose(A.inverse_many(np.array(ss)), inverted, rtol=1e-12)
 
 
-    @given(every_family, st.lists(element_times, min_size=1, max_size=40))
-    def test_evaluate_many_is_elementwise(self, A, ts):
-        # verify.martingale_residual relies on this: A(t ^ tau) taken from
-        # A(tau) and from A(t) alone has the bits of A over the stopped array.
-        # Forty times cover numpy's SIMD main loop and its remainder.
-        xs = np.array(ts)
-        together = A.evaluate_many(xs).view(np.uint64)
-        alone = [A.evaluate_many(xs[k : k + 1]).view(np.uint64)[0] for k in range(len(xs))]
-        np.testing.assert_array_equal(together, alone)
+    @given(
+        every_family,
+        st.lists(element_times, min_size=1, max_size=40),
+        st.lists(st.just(0.0) | st.floats(0.0, 50.0, allow_subnormal=True), min_size=1, max_size=40),
+    )
+    def test_evaluate_many_is_elementwise(self, A, ts, ss):
+        # verify.martingale_residual relies on this for evaluate_many: A(t ^ tau)
+        # taken from A(tau) and from A(t) alone has the bits of A over the
+        # stopped array.  JumpModel.sample relies on it for both maps, which
+        # it runs a block of draws at a time.  Forty values cover numpy's SIMD
+        # main loop and its remainder.
+        if math.isfinite(A.range_sup):
+            ss = ss + [A.range_sup, 2.0 * A.range_sup]
+        for array_map, xs in ((A.evaluate_many, np.array(ts)), (A.inverse_many, np.array(ss))):
+            together = array_map(xs).view(np.uint64)
+            alone = [array_map(xs[k : k + 1]).view(np.uint64)[0] for k in range(len(xs))]
+            np.testing.assert_array_equal(together, alone)
+
+
+@st.composite
+def knot_arrays(draw):
+    """Sorted knot arrays: repeated values, clusters a few ulps wide, 0, a wide span."""
+    pool = draw(st.lists(st.just(0.0) | st.floats(0.0, 1e3, allow_subnormal=True), min_size=1, max_size=5))
+    cluster = draw(st.sampled_from(pool))
+    knots = draw(
+        st.lists(
+            st.sampled_from(pool)
+            | st.integers(1, 8).map(lambda k: cluster + k * math.ulp(cluster))
+            | st.just(1e300),
+            max_size=30,
+        )
+    )
+    return np.array(sorted(knots), float)
+
+
+def search_keys(knots: np.ndarray) -> np.ndarray:
+    """Every knot and its two float neighbours, 0, and the ends of the float range."""
+    near = np.concatenate([knots, np.nextafter(knots, -math.inf), np.nextafter(knots, math.inf)])
+    return np.concatenate([near[near >= 0.0], [0.0, 5e-324, 1e308, math.inf]])
+
+
+class TestKnotSearch:
+    """The bucket search of a tabulated compensator against ``np.searchsorted``."""
+
+    @given(knot_arrays(), st.lists(st.just(0.0) | st.floats(0.0, 2e3), max_size=40))
+    @example(np.array([]), [1.0])
+    @example(np.array([1.0, 1.0]), [0.0, 1.0, 2.0])
+    @example(np.array([5e-324, 1e-323]), [0.0, 5e-324, 1.0])
+    @example(np.array([0.0, 1e300]), [1e299])
+    def test_search_is_searchsorted(self, knots, keys):
+        probe = np.concatenate([search_keys(knots), keys]) if knots.size else np.array(keys)
+        # Shuffled, as the sampled keys come.
+        probe = probe[np.random.default_rng(len(probe)).permutation(len(probe))]
+        for side in ("left", "right"):
+            got = _KnotSearch(knots, side)(probe)
+            np.testing.assert_array_equal(got, np.searchsorted(knots, probe, side=side))
+
+    @given(tabulated_compensators(), st.lists(st.floats(0.0, 200.0), max_size=40))
+    def test_a_tables_searches_are_its_inner_knots(self, A, keys):
+        times, values = A._knots
+        by_time, by_level = A._segments
+        probe = np.concatenate([search_keys(times), search_keys(values), keys])
+        np.testing.assert_array_equal(by_time(probe), np.searchsorted(times[1:-1], probe, side="right"))
+        np.testing.assert_array_equal(by_level(probe), np.searchsorted(values[1:-1], probe, side="left"))
 
 
 class TestExactPaths:

@@ -1,14 +1,21 @@
 """Model catalog, the indicator semigroup, conditional expectations, and Feller checks."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jumptime.compensators import PowerCompensator, SaturatingExpCompensator
-from jumptime.core import RngStream, TimePoint
+from jumptime import core
+from jumptime.compensators import (
+    LinearCompensator,
+    PowerCompensator,
+    SaturatingExpCompensator,
+    TabulatedCompensator,
+)
+from jumptime.core import _DRAW_BLOCK, RngStream, TimePoint, draw_exponentials
 from jumptime.processes import (
     C0_WITNESSES,
     DEFAULT_T_SCHEDULE,
@@ -132,12 +139,104 @@ class TestNegativeControl:
         np.testing.assert_array_equal(a_taus, taus)
 
 
+def one_shot(model, zs):
+    """``JumpModel.sample`` as two whole-array maps: the reference for the blocked one."""
+    taus = (model.sampler or model.compensator).inverse_many(zs)
+    if np.isinf(taus).any():
+        raise InfiniteSampleError(f"model {model.name!r} produced an infinite jump time")
+    return taus, model.compensator.evaluate_many(taus)
+
+
+def outcome(sample, model, zs):
+    """The pair's bits, or the error's type and the message's first clause."""
+    try:
+        return [bits.view(np.uint64).tolist() for bits in sample(model, zs)]
+    except (ValueError, OverflowError, InfiniteSampleError) as exc:
+        return type(exc), str(exc).split(";")[0]
+
+
+def table_model(knots: int) -> JumpModel:
+    """A tabulated model with flats, as many knots as given, slope 1 past the last."""
+    rng = np.random.default_rng(knots)
+    times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, knots - 1)) * 10.0 / knots])
+    steps = rng.exponential(12.0 / knots, knots - 1) * (rng.random(knots - 1) >= 0.05)
+    A = TabulatedCompensator(tuple(times), tuple(np.concatenate([[0.0], np.cumsum(steps)])), 1.0)
+    return inhomogeneous_model(A, name=f"table({knots})")
+
+
+SAMPLED_MODELS = (
+    poisson_model(1.5),
+    build_model("power", {"exponent": 2.5}),
+    build_model("power", {"exponent": 2.0}),
+    flat_compensator_model(),
+    negative_control_model(),
+    table_model(1000),
+)
+
+
 class TestSample:
     def test_a_level_past_a_bounded_compensator_raises(self):
         # Level 2.0 lies above the saturating bound 1.0, so its tau is infinite.
         model = JumpModel("bounded-demo", SaturatingExpCompensator(limit=1.0, rate=1.0))
         with pytest.raises(InfiniteSampleError, match="'bounded-demo'.*infinite jump time"):
             model.sample(np.array([0.5, 2.0]))
+
+    @pytest.mark.parametrize("model", SAMPLED_MODELS, ids=lambda m: m.name)
+    def test_blocks_equal_the_whole_array_maps(self, model):
+        # Around one and two draw blocks, and across several.
+        for n in (1, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 1, 40_000):
+            zs = draw_exponentials(3, n)
+            want = outcome(one_shot, model, zs)
+            assert outcome(JumpModel.sample, model, zs) == want, n
+            out = (np.full(n, np.nan), np.full(n, np.nan))
+            assert model.sample(zs, out=out)[0] is out[0]
+            assert [a.view(np.uint64).tolist() for a in out] == want, n
+
+    def test_errors_name_the_first_level_or_time_of_the_whole_array(self):
+        zs = draw_exponentials(4, 40_000)
+        # Levels: level 1e9 overflows the tau of rate 1e-300 in the second
+        # block, 2e9 in the third; a NaN level in the last block outranks both.
+        slow = JumpModel("slow", LinearCompensator(1e-300))
+        levels = zs.copy()
+        levels[[20_000, 30_000]] = 1e9, 2e9
+        with_nan = levels.copy()
+        with_nan[39_999] = math.nan
+        # An infinite tau in the first block is refused only after every level
+        # is inverted, so the overflow in the second block wins.
+        inf_first = levels.copy()
+        inf_first[5] = math.inf
+        # Times: 20 and 30 overflow A(t) = t**250, unlike every Exp(1) draw
+        # here; an infinite level in the last block is refused before any
+        # time is evaluated.
+        steep = JumpModel("steep", PowerCompensator(250.0), sampler=LinearCompensator(1.0))
+        times = zs.copy()
+        times[[20_000, 30_000]] = 20.0, 30.0
+        with_inf = times.copy()
+        with_inf[39_999] = math.inf
+        cases = [
+            (slow, levels, OverflowError, "level 1000000000.0"),
+            (slow, with_nan, ValueError, "levels must be nonnegative"),
+            (slow, inf_first, OverflowError, "level 1000000000.0"),
+            (steep, times, OverflowError, "at time 20.0"),
+            (steep, with_inf, InfiniteSampleError, "'steep'"),
+            (build_model("poisson", {"rate": 1e-320}), zs, OverflowError, f"level {float(zs[0])!r}"),
+            (build_model("power", {"exponent": 0.002}), zs, InfiniteSampleError, "power"),
+        ]
+        for model, draws, error, names in cases:
+            got = outcome(JumpModel.sample, model, draws)
+            assert got == outcome(one_shot, model, draws), model.name
+            assert got[0] is error and names in got[1], (model.name, got)
+
+    @given(
+        st.sampled_from(SAMPLED_MODELS[:-1]),
+        st.lists(st.floats(0.0, 50.0) | st.just(1e300) | st.just(math.inf), max_size=30),
+        st.integers(1, 8),
+    )
+    def test_any_block_size_equals_the_whole_array_maps(self, model, zs, block):
+        zs = np.array(zs, float)
+        with mock.patch.object(core, "_DRAW_BLOCK", block):
+            got = outcome(JumpModel.sample, model, zs)
+        assert got == outcome(one_shot, model, zs)
 
 
 class TestCatalog:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from jumptime import verify as verify_module
 from jumptime.compensators import SaturatingExpCompensator, TabulatedCompensator
 from jumptime.core import RngStream, draw_exponential
 from jumptime.processes import (
@@ -17,6 +20,7 @@ from jumptime.processes import (
     JumpModel,
     build_model,
     catalog_models,
+    flat_compensator_model,
     negative_control_model,
     poisson_model,
 )
@@ -156,6 +160,88 @@ class TestSampleATau:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             sample_a_tau(poisson_model(1.0), 0, seed=1)
+
+    def test_a_result_is_never_overwritten_by_a_later_call(self):
+        flat, power = flat_compensator_model(), build_model("power", {"exponent": 2.5})
+        a = sample_a_tau(flat, 5000, seed=3)
+        kept = a.copy()
+        exp_law_verify(power, 5000, 0.01, seed=4)
+        martingale_residual(power, 5000, default_time_grid(), seed=4)
+        scratch = sample_a_tau(power, 5000, seed=4, scratch=True)
+        assert scratch is not a and not np.shares_memory(scratch, a)
+        assert sample_a_tau(power, 5000, seed=4) is not sample_a_tau(power, 5000, seed=4)
+        np.testing.assert_array_equal(a.view(np.uint64), kept.view(np.uint64))
+
+
+def fresh_reports(model, n, seed):
+    """Both reports of a model as JSON, on scratch arrays made for this call."""
+    verify_module._THREAD.scratch = None
+    return (
+        exp_law_verify(model, n, 0.01, seed).to_json(),
+        martingale_residual(model, n, default_time_grid(), seed).to_json(),
+    )
+
+
+class TestScratch:
+    """Reports on reused scratch arrays equal reports on fresh ones."""
+
+    def test_reports_survive_a_change_of_n_and_back(self):
+        model = flat_compensator_model()
+        want = {n: fresh_reports(model, n, 9) for n in (20_000, 1000)}
+        for n in (20_000, 1000, 20_000, 20_000):
+            got = (
+                exp_law_verify(model, n, 0.01, 9).to_json(),
+                martingale_residual(model, n, default_time_grid(), 9).to_json(),
+            )
+            assert got == want[n], n
+
+    def test_threads_get_the_serial_reports(self):
+        # More threads than cores, switching often, all at one n, so that arrays
+        # shared between threads would be overwritten mid-call.
+        jobs = [
+            (flat_compensator_model(), 20_000, 5),
+            (build_model("power", {"exponent": 2.5}), 20_000, 6),
+            (poisson_model(2.0), 20_000, 7),
+        ]
+        serial = [fresh_reports(*job) for job in jobs]
+        start = threading.Barrier(len(jobs))
+        got = [[] for _ in jobs]
+
+        def run(k):
+            model, n, seed = jobs[k]
+            start.wait()
+            for _ in range(4):
+                got[k].append((
+                    exp_law_verify(model, n, 0.01, seed).to_json(),
+                    martingale_residual(model, n, default_time_grid(), seed).to_json(),
+                ))
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[want] * 4 for want in serial]
+
+    def test_an_undrawable_n_allocates_no_scratch(self, monkeypatch):
+        def refuse(seed, n):
+            raise MemoryError
+
+        monkeypatch.setattr(verify_module, "draw_exponentials", refuse)
+        verify_module._THREAD.scratch = None
+        for check in (
+            lambda: exp_law_verify(poisson_model(1.0), 2**20, 0.01, 1),
+            lambda: martingale_residual(poisson_model(1.0), 2**20, (1.0,), 1),
+        ):
+            with pytest.raises(MemoryError):
+                check()
+            assert verify_module._THREAD.scratch is None
 
 
 class TestExpLawVerify:
