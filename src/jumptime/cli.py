@@ -6,7 +6,8 @@ for sample streams) and CSV tables for plotting.  Diagnostics go to stderr
 only; stdout or the --out file carries nothing but data.
 
 ``parse_args`` validates the command line and returns argparse's namespace,
-with the parsed ``params``, ``grid`` and resolved ``seed`` written back.  Each
+with the parsed ``params`` and ``grid``, resolved ``seed`` and the catalog
+model, built once by ``build_model``, written back as ``jump_model``.  Each
 subcommand but ``cox-demo`` is a builder that returns a ``_Report`` (JSON
 document, CSV rows, verdict, optional stderr summary), and ``_write`` alone
 chooses the format and maps the verdict to the exit status.  The verdicts are
@@ -153,11 +154,11 @@ def parse_args(argv) -> argparse.Namespace:
     parser = sub.choices[args.command]
 
     if hasattr(args, "model"):
-        if args.model not in catalog_names() and args.model != "negative-control":
-            parser.error(
-                f"--model: unknown model {args.model!r}; valid models: {', '.join(catalog_names())}"
-            )
         args.params = _parse_params(parser, args.param)
+        try:
+            args.jump_model = build_model(args.model, args.params)
+        except ValueError as exc:
+            parser.error(f"--model {args.model}: {exc}")
 
     if hasattr(args, "n"):
         if args.n < 1:
@@ -262,8 +263,7 @@ def _list_models(args: argparse.Namespace) -> _Report:
 
 
 def _exp_law(args: argparse.Namespace) -> _Report:
-    model = build_model(args.model, args.params)
-    report = exp_law_verify(model, args.n, args.alpha, args.seed)
+    report = exp_law_verify(args.jump_model, args.n, args.alpha, args.seed)
     summary = (
         f"{report.model_name}: ks={report.ks_stat:.6f} "
         f"bound={report.dkw_bound:.6f} passed={report.passed}"
@@ -272,15 +272,14 @@ def _exp_law(args: argparse.Namespace) -> _Report:
 
 
 def _martingale(args: argparse.Namespace) -> _Report:
-    model = build_model(args.model, args.params)
     grid = args.grid if args.grid is not None else default_time_grid()
-    report = martingale_residual(model, args.n, grid, args.seed)
+    report = martingale_residual(args.jump_model, args.n, grid, args.seed)
     summary = f"{report.model_name}: max_abs_z={report.max_abs_z:.3f} passed={report.passed}"
     return _Report(report.to_json_dict(), report.csv_rows(), report.passed, summary)
 
 
 def _feller(args: argparse.Namespace) -> _Report:
-    model = build_model(args.model, args.params)
+    model = args.jump_model
     law = model.law()
     reports = [feller_check(law, f) for f in C0_WITNESSES]
     passed = all(r.passed for r in reports)
@@ -315,9 +314,8 @@ def _predictable_demo(args: argparse.Namespace) -> _Report:
 
 
 def _cox_demo(args: argparse.Namespace) -> int:
-    model = build_model(args.model, args.params)
     with _open_out(args.out) as fh:
-        write_cox_rows(fh, model.compensator, args.seed, args.n, args.format)
+        write_cox_rows(fh, args.jump_model.compensator, args.seed, args.n, args.format)
     return 0
 
 

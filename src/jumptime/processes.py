@@ -8,9 +8,10 @@ drawing tau through a different compensator than the one it claims.
 read, refusing an infinite tau with ``InfiniteSampleError``.  It maps the
 draws a block at a time, into the caller's arrays or fresh ones, so that no
 map makes a full-length temporary, and raises the error one whole-array map
-would raise first.  The catalog covers homogeneous and inhomogeneous arrival
-times, a Markov holding time, and a synthetic model whose compensator has a
-flat piece.
+would raise first.  The catalog is one table from each name to a factory,
+whose keyword defaults are the CLI's.  It covers homogeneous and
+inhomogeneous arrival times, a Markov holding time, a synthetic model whose
+compensator has a flat piece, and the unlisted negative control.
 
 The indicator process X_t = 1_{t >= tau} (started at x, jumping to x + 1) is
 Feller; its semigroup has the closed form
@@ -155,13 +156,15 @@ def _check_rate(value, what: str) -> float:
     return float(value)
 
 
-def poisson_model(rate: float) -> JumpModel:
+def _linear_model(family: str, key: str, rate) -> JumpModel:
+    """The model ``family(key=rate)`` with A(t) = rate * t."""
+    rate = _check_rate(rate, key)
+    return JumpModel(name=f"{family}({key}={rate:g})", compensator=LinearCompensator(rate))
+
+
+def poisson_model(rate: float = 1.0) -> JumpModel:
     """First arrival at constant rate: tau = Z / rate, A(t) = rate * t."""
-    rate = _check_rate(rate, "rate")
-    return JumpModel(
-        name=f"poisson(rate={rate:g})",
-        compensator=LinearCompensator(rate),
-    )
+    return _linear_model("poisson", "rate", rate)
 
 
 def inhomogeneous_model(cumulative_intensity: Compensator, name: str | None = None) -> JumpModel:
@@ -183,12 +186,15 @@ def inhomogeneous_model(cumulative_intensity: Compensator, name: str | None = No
     )
 
 
-def ctmc_first_jump_model(exit_rate: float) -> JumpModel:
+def ctmc_first_jump_model(exit_rate: float = 1.0) -> JumpModel:
     """Holding time of a Markov-chain state: Exp(exit_rate), A(t) = exit_rate * t."""
-    exit_rate = _check_rate(exit_rate, "exit_rate")
-    return JumpModel(
-        name=f"ctmc(exit_rate={exit_rate:g})",
-        compensator=LinearCompensator(exit_rate),
+    return _linear_model("ctmc", "exit_rate", exit_rate)
+
+
+def _power_model(exponent: float = 2.0) -> JumpModel:
+    """First arrival with A(t) = t ** exponent, named ``power(exponent=...)``."""
+    return inhomogeneous_model(
+        PowerCompensator(exponent), name=f"power(exponent={float(exponent):g})"
     )
 
 
@@ -216,35 +222,30 @@ def negative_control_model() -> JumpModel:
     A(tau) = tau is Exp(2), not Exp(1), so the exponential-law verification
     must fail.  Guards the test suite against vacuous passes.
     """
-    return JumpModel(
-        name="negative-control",
-        compensator=LinearCompensator(1.0),
-        sampler=LinearCompensator(2.0),
-    )
+    return JumpModel("negative-control", LinearCompensator(1.0), sampler=LinearCompensator(2.0))
 
 
+#: Every model ``build_model`` can build; each factory's defaults are the CLI's.
 _BUILDERS: dict[str, Callable[..., JumpModel]] = {
-    "poisson": lambda rate=1.0: poisson_model(rate),
-    "power": lambda exponent=2.0: inhomogeneous_model(
-        PowerCompensator(exponent), name=f"power(exponent={float(exponent):g})"
-    ),
-    "ctmc": lambda exit_rate=1.0: ctmc_first_jump_model(exit_rate),
-    "flat": lambda: flat_compensator_model(),
+    "poisson": poisson_model,
+    "power": _power_model,
+    "ctmc": ctmc_first_jump_model,
+    "flat": flat_compensator_model,
+    "negative-control": negative_control_model,
 }
 
-_HIDDEN_BUILDERS: dict[str, Callable[..., JumpModel]] = {
-    "negative-control": lambda: negative_control_model(),
-}
+#: Buildable names that ``catalog_names`` does not list.
+_HIDDEN = {"negative-control"}
 
 
 def catalog_names() -> tuple[str, ...]:
     """Public model names addressable by the CLI."""
-    return tuple(sorted(_BUILDERS))
+    return tuple(sorted(_BUILDERS.keys() - _HIDDEN))
 
 
 def build_model(name: str, params: dict[str, float] | None = None) -> JumpModel:
     """Build a catalog model by name with keyword parameters."""
-    builder = _BUILDERS.get(name) or _HIDDEN_BUILDERS.get(name)
+    builder = _BUILDERS.get(name)
     if builder is None:
         valid = ", ".join(catalog_names())
         raise ValueError(f"unknown model {name!r}; valid models: {valid}")
@@ -262,7 +263,7 @@ def catalog_models() -> tuple[JumpModel, ...]:
         poisson_model(0.5),
         poisson_model(1.0),
         poisson_model(2.0),
-        inhomogeneous_model(PowerCompensator(2.0), name="power(exponent=2)"),
+        _power_model(2.0),
         ctmc_first_jump_model(3.0),
         flat_compensator_model(),
     )

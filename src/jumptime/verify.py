@@ -147,6 +147,8 @@ def ks_statistic(samples, reference_cdf) -> float:
     n = len(xs)
     if n == 0:
         raise ValueError("ks_statistic needs at least one sample")
+    if math.isnan(xs[-1]):  # numpy sorts NaN last
+        raise ValueError("ks_statistic needs samples that are not NaN")
     F = np.asarray(reference_cdf(xs), float)
     return _ks_distance(F, np.arange(n + 1) / n, np.empty(n))
 
@@ -177,8 +179,12 @@ def ode_identity_check(samples, grid) -> float:
 
     For nonnegative samples the integral is exactly (1/n) sum_i max(0, t - x_i),
     k * t minus the sum of the k sorted samples at or below t: no mesh error.
+    A negative or NaN sample is refused.
     """
-    return _ode_identity_sorted(np.sort(np.asarray(samples, float)), grid)
+    xs = np.sort(np.asarray(samples, float))
+    if len(xs) and (xs[0] < 0.0 or math.isnan(xs[-1])):  # numpy sorts NaN last
+        raise ValueError("ode_identity_check needs nonnegative samples that are not NaN")
+    return _ode_identity_sorted(xs, grid)
 
 
 def _ode_identity_sorted(xs: np.ndarray, grid) -> float:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from jumptime import core, verify
+from jumptime import cli, core, verify
 from jumptime.cli import KNOT_TOLERANCE, MARTINGALE_Z_LIMIT, main, parse_args
 from jumptime.compensators import SaturatingExpCompensator
 from jumptime.core import _DRAW_BLOCK, RngStream
@@ -57,11 +57,38 @@ class TestParseArgs:
         )
         assert config.grid == (0.5, 1.0, 2.0)
 
-    def test_unknown_model_is_a_usage_error(self, capsys):
-        assert parse_error_code(["verify-exp-law", "--model", "nosuch"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-exp-law", "--model", "nosuch"],
+            ["verify-exp-law", "--model", "poisson", "--param", "rate=-1"],
+            ["verify-martingale", "--model", "poisson", "--param", "shape=2"],
+            ["feller-check", "--model", "flat", "--param", "x=1"],
+        ],
+    )
+    def test_unknown_model_is_a_usage_error(self, capsys, argv):
+        name, params = argv[2], dict(p.split("=") for p in argv[4::2])
+        with pytest.raises(ValueError) as rejected:
+            build_model(name, {k: float(v) for k, v in params.items()})
+        assert parse_error_code(argv) == 2
         err = capsys.readouterr().err
-        assert "--model" in err
-        assert "poisson" in err and "flat" in err
+        assert err.startswith(f"usage: jumptime {argv[0]}"), err
+        assert f"jumptime {argv[0]}: error: --model {name}: {rejected.value}\n" in err
+
+    @pytest.mark.parametrize(
+        "command", ["verify-exp-law", "verify-martingale", "feller-check", "cox-demo"]
+    )
+    def test_the_model_is_built_once(self, monkeypatch, capsys, command):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build_model(*args)
+
+        monkeypatch.setattr(cli, "build_model", counted)
+        sampling = [] if command == "feller-check" else ["--n", "100"]
+        assert main([command, "--model", "poisson", "--param", "rate=2", *sampling]) == 0
+        assert calls == [("poisson", {"rate": 2.0})]
 
     def test_hidden_model_is_accepted(self):
         config = parse_args(["verify-exp-law", "--model", "negative-control"])

@@ -268,6 +268,11 @@ class TestCatalog:
             "flat",
         ]
 
+    def test_catalog_power_is_the_built_power(self):
+        built = build_model("power", {"exponent": 2.0})
+        (power,) = [m for m in catalog_models() if m.name.startswith("power")]
+        assert (power.name, power.compensator) == (built.name, built.compensator)
+
     def test_every_catalog_model_has_a_law(self):
         for model in catalog_models():
             law = model.law()

@@ -13,7 +13,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jumptime import verify as verify_module
-from jumptime.compensators import SaturatingExpCompensator, TabulatedCompensator
+from jumptime.compensators import (
+    LinearCompensator,
+    PowerCompensator,
+    SaturatingExpCompensator,
+    TabulatedCompensator,
+)
 from jumptime.core import RngStream, draw_exponential
 from jumptime.processes import (
     InfiniteSampleError,
@@ -61,9 +66,10 @@ class TestKsStatistic:
         own_ecdf = lambda x: np.searchsorted(np.sort(xs), x, side="right") / len(xs)
         assert ks_statistic(xs, own_ecdf) == pytest.approx(1.0 / len(xs), abs=1e-15)
 
-    def test_rejects_empty(self):
+    @pytest.mark.parametrize("samples", [[], [math.nan, 1.0], [math.nan]])
+    def test_rejects_empty(self, samples):
         with pytest.raises(ValueError):
-            ks_statistic([], EXP1_CDF)
+            ks_statistic(samples, EXP1_CDF)
 
 
 class TestDkwBound:
@@ -104,6 +110,12 @@ class TestOdeIdentity:
             ode_identity_check([1.0], [-0.5])
         with pytest.raises(ValueError, match="nonnegative"):
             ode_identity_check([1.0], [1.0, math.nan])
+        # The closed form k * t - sum(x) assumes x >= 0, and a NaN would count
+        # as lying above every t.
+        for samples in ([-1.0], [0.5, -0.0, -1e-300], [math.nan, 1.0], [math.nan]):
+            with pytest.raises(ValueError, match="nonnegative samples"):
+                ode_identity_check(samples, [0.5, 2.0])
+        assert ode_identity_check([-0.0, 1.0], [0.5]) == ode_identity_check([0.0, 1.0], [0.5])
 
     def test_integral_is_exact(self):
         # int_0^t ecdf = (1/n) sum max(0, t - x_i), which is (0.5 + 0) / 2 at
@@ -399,6 +411,24 @@ class TestMartingaleResidual:
             martingale_residual(poisson_model(1.0), 100, [math.inf], seed=1)
         with pytest.raises(ValueError):
             martingale_residual(poisson_model(1.0), 100, [-1.0], seed=1)
+
+
+class TestGatePower:
+    """A model wrong by 5 % fails both checks at n = 1e5 on every seed fixed
+    here (1-10), so a change that blinds the gate cannot pass unnoticed."""
+
+    WRONG_MODELS = (
+        JumpModel("scale+5%", LinearCompensator(1.05), sampler=LinearCompensator(1.0)),
+        JumpModel("shape+5%", PowerCompensator(2.1), sampler=PowerCompensator(2.0)),
+    )
+
+    @pytest.mark.parametrize("model", WRONG_MODELS, ids=lambda m: m.name)
+    def test_a_five_percent_error_fails_both_checks(self, model):
+        for seed in range(1, 11):
+            exp_law = exp_law_verify(model, 100_000, 0.01, seed)
+            martingale = martingale_residual(model, 100_000, default_time_grid(), seed)
+            assert not exp_law.passed, (seed, exp_law.ks_stat, exp_law.dkw_bound)
+            assert not martingale.passed, (seed, martingale.max_abs_z)
 
 
 class TestDefaultGrid:
