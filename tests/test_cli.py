@@ -65,11 +65,12 @@ class TestParseArgs:
             ["verify-martingale", "--model", "poisson", "--param", "shape=2"],
             ["feller-check", "--model", "flat", "--param", "x=1"],
         ],
+        ids=["unknown-model", "negative-rate", "unknown-param", "param-on-flat"],
     )
     def test_unknown_model_is_a_usage_error(self, capsys, argv):
-        name, params = argv[2], dict(p.split("=") for p in argv[4::2])
+        name, params = argv[2], {k: float(v) for k, v in (p.split("=") for p in argv[4::2])}
         with pytest.raises(ValueError) as rejected:
-            build_model(name, {k: float(v) for k, v in params.items()})
+            build_model(name, params)
         assert parse_error_code(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: jumptime {argv[0]}"), err

@@ -66,7 +66,9 @@ class TestKsStatistic:
         own_ecdf = lambda x: np.searchsorted(np.sort(xs), x, side="right") / len(xs)
         assert ks_statistic(xs, own_ecdf) == pytest.approx(1.0 / len(xs), abs=1e-15)
 
-    @pytest.mark.parametrize("samples", [[], [math.nan, 1.0], [math.nan]])
+    @pytest.mark.parametrize(
+        "samples", [[], [math.nan, 1.0], [math.nan]], ids=["empty", "nan", "all-nan"]
+    )
     def test_rejects_empty(self, samples):
         with pytest.raises(ValueError):
             ks_statistic(samples, EXP1_CDF)
