@@ -47,6 +47,7 @@ from __future__ import annotations
 import abc
 import csv
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -179,6 +180,16 @@ def _check_level(s: float) -> float:
     return s
 
 
+def _check_parameter(value, name: str) -> float:
+    """A model parameter as a float: a real number, not a bool, positive and
+    finite.  numpy's integer and float scalars count as real numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
 def _check_nonnegative(xs, what: str = "levels") -> np.ndarray:
     """Array twin of _check_level and of the time check: reject negatives and NaN."""
     xs = np.asarray(xs, float)
@@ -194,8 +205,7 @@ class LinearCompensator(Compensator):
     rate: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise ValueError(f"rate must be positive and finite, got {self.rate}")
+        object.__setattr__(self, "rate", _check_parameter(self.rate, "rate"))
 
     range_sup = math.inf
 
@@ -225,8 +235,7 @@ class PowerCompensator(Compensator):
     exponent: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.exponent) and self.exponent > 0.0):
-            raise ValueError(f"exponent must be positive and finite, got {self.exponent}")
+        object.__setattr__(self, "exponent", _check_parameter(self.exponent, "exponent"))
 
     range_sup = math.inf
 
@@ -270,10 +279,8 @@ class SaturatingExpCompensator(Compensator):
     rate: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.limit) and self.limit > 0.0):
-            raise ValueError("limit must be positive and finite")
-        if not (math.isfinite(self.rate) and self.rate > 0.0):
-            raise ValueError("rate must be positive and finite")
+        object.__setattr__(self, "limit", _check_parameter(self.limit, "limit"))
+        object.__setattr__(self, "rate", _check_parameter(self.rate, "rate"))
 
     @property
     def range_sup(self) -> float:

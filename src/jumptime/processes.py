@@ -35,6 +35,7 @@ from .compensators import (
     PowerCompensator,
     TabulatedCompensator,
     _check_nonnegative,
+    _check_parameter,
 )
 from .core import RngStream, TimeLike, TimePoint, as_timepoint, draw_exponential, np
 
@@ -150,15 +151,9 @@ class IndicatorProcessLaw:
 # model catalog
 
 
-def _check_rate(value, what: str) -> float:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{what} must be positive and finite, got {value}")
-    return float(value)
-
-
 def _linear_model(family: str, key: str, rate) -> JumpModel:
     """The model ``family(key=rate)`` with A(t) = rate * t."""
-    rate = _check_rate(rate, key)
+    rate = _check_parameter(rate, key)
     return JumpModel(name=f"{family}({key}={rate:g})", compensator=LinearCompensator(rate))
 
 
@@ -193,9 +188,8 @@ def ctmc_first_jump_model(exit_rate: float = 1.0) -> JumpModel:
 
 def _power_model(exponent: float = 2.0) -> JumpModel:
     """First arrival with A(t) = t ** exponent, named ``power(exponent=...)``."""
-    return inhomogeneous_model(
-        PowerCompensator(exponent), name=f"power(exponent={float(exponent):g})"
-    )
+    A = PowerCompensator(exponent)
+    return inhomogeneous_model(A, name=f"power(exponent={A.exponent:g})")
 
 
 def flat_compensator_model() -> JumpModel:

@@ -25,12 +25,12 @@ times every row has jumped by share one (mean, stderr): their residual is
 1 - A(tau) at each of them.
 
 Each thread keeps one set of scratch arrays for the current n (``_scratch``),
-so a run of verifications allocates its full-length arrays once rather than
-once per call: the sample lands there, A(tau) is sorted in place, 1 - A(tau)
-is written over A(tau), the residual and its squared deviations are built in
-two buffers, and KS's step array i / n is kept.  The scratch is made only
-after the draws, so an n too large to draw fails as it did before, and no
-array a caller receives is ever scratch unless it asked for it.
+so a run of verifications allocates its work arrays once rather than once
+per call: the martingale check's sample lands there, 1 - A(tau) is written
+over A(tau), the residual and its squared deviations are built in two
+buffers, and KS's step array i / n is kept.  The exponential-law check sorts
+a fresh A(tau).  The scratch is made only after the draws, so an n too large
+to draw fails first, and no array a caller receives is ever scratch.
 
 Replication k always uses the random stream with stream_id = k, and results
 are assembled in stream order, so reports are bitwise reproducible.  The n
@@ -121,19 +121,12 @@ def _scratch(n: int) -> _Scratch:
     return held
 
 
-def sample_a_tau(model: JumpModel, n: int, seed: int, *, scratch: bool = False) -> np.ndarray:
-    """n independent draws of A(tau), one per stream_id, in stream order.
-
-    The result is a fresh array, or with ``scratch`` this thread's scratch
-    array, which the thread's next verification overwrites.
-    """
+def sample_a_tau(model: JumpModel, n: int, seed: int) -> np.ndarray:
+    """n independent draws of A(tau), one per stream_id, in stream order, as
+    a fresh array."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    zs = _exponential_draws(seed, n)
-    if not scratch:
-        return model.sample(zs)[1]
-    held = _scratch(n)
-    return model.sample(zs, out=(held.taus, held.a))[1]
+    return model.sample(_exponential_draws(seed, n))[1]
 
 
 def ks_statistic(samples, reference_cdf) -> float:
@@ -150,6 +143,8 @@ def ks_statistic(samples, reference_cdf) -> float:
     if math.isnan(xs[-1]):  # numpy sorts NaN last
         raise ValueError("ks_statistic needs samples that are not NaN")
     F = np.asarray(reference_cdf(xs), float)
+    if F.shape != xs.shape:
+        raise ValueError(f"reference_cdf must return shape {xs.shape}, got {F.shape}")
     return _ks_distance(F, np.arange(n + 1) / n, np.empty(n))
 
 
@@ -256,10 +251,10 @@ class ExpLawReport:
 def exp_law_verify(model: JumpModel, n: int, alpha: float, seed: int) -> ExpLawReport:
     """Sample A(tau) and test it against the unit exponential law."""
     bound = dkw_bound(n, alpha)
-    a_sorted = sample_a_tau(model, n, seed, scratch=True)
+    a_sorted = sample_a_tau(model, n, seed)
     a_sorted.sort()
     held = _scratch(n)
-    # The reference CDF goes over tau, which is no longer needed.
+    # The reference CDF goes in the scratch tau array, which this check leaves unused.
     ks = _ks_distance(exp1_cdf(a_sorted, out=held.taus), held.steps, held.spare)
 
     levels = (np.arange(1, 51) - 0.5) / 50.0
@@ -353,6 +348,8 @@ def martingale_residual(
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     grid = tuple(float(t) for t in time_grid)
+    if not grid:
+        raise ValueError("the time grid needs at least one time")
     if any(not math.isfinite(t) or t < 0.0 for t in grid):
         raise ValueError("grid times must be finite and nonnegative")
     zs = _exponential_draws(seed, n)

@@ -141,7 +141,7 @@ class TestLinear:
             LinearCompensator(1.0).evaluate(INFINITY)
 
     def test_rejects_bad_rate(self):
-        for rate in (0.0, -1.0, math.inf, math.nan):
+        for rate in (0.0, -1.0, math.inf, math.nan, True, "1"):
             with pytest.raises(ValueError):
                 LinearCompensator(rate)
 

@@ -42,6 +42,10 @@ from jumptime.processes import (
 EXP1 = poisson_model(1.0).law()
 
 
+#: Each model that ``build_model`` builds from a parameter, and the parameter's name.
+BUILT_PARAMETERS = (("poisson", "rate"), ("ctmc", "exit_rate"), ("power", "exponent"))
+
+
 class TestPoissonModel:
     def test_tau_is_z_over_rate(self):
         assert poisson_model(1.0).tau_from_z(0.7) == TimePoint(0.7)
@@ -61,6 +65,11 @@ class TestPoissonModel:
         for rate in (0.0, -2.0, math.inf):
             with pytest.raises(ValueError):
                 poisson_model(rate)
+        # A value that is not a real number is refused under its own name.
+        for name, key in BUILT_PARAMETERS:
+            for value in ("2", None, True):
+                with pytest.raises(ValueError, match=f"^{key} must be a real number"):
+                    build_model(name, {key: value})
 
     def test_sampling_is_reproducible_and_positive(self):
         model = poisson_model(0.5)
@@ -248,6 +257,13 @@ class TestCatalog:
         assert build_model("power").name == "power(exponent=2)"
         assert build_model("flat").name == "flat"
         assert build_model("negative-control").name == "negative-control"
+        # numpy scalars build the model of the equal float, stored as a float.
+        for name, key in BUILT_PARAMETERS:
+            want = build_model(name, {key: 3.0})
+            for value in (np.int64(3), np.float64(3.0)):
+                got = build_model(name, {key: value})
+                assert (got.name, got.compensator) == (want.name, want.compensator)
+                assert all(type(v) is float for v in vars(got.compensator).values())
 
     def test_unknown_name_lists_the_catalog(self):
         with pytest.raises(ValueError, match="ctmc, flat, poisson, power"):
@@ -256,6 +272,10 @@ class TestCatalog:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="poisson"):
             build_model("poisson", {"shape": 2.0})
+        for name, _ in BUILT_PARAMETERS:
+            message = rf"^invalid parameters \['shape'\] for model '{name}'$"
+            with pytest.raises(ValueError, match=message):
+                build_model(name, {"shape": 2.0})
 
     def test_catalog_models_cover_every_family(self):
         names = [m.name for m in catalog_models()]

@@ -67,11 +67,20 @@ class TestKsStatistic:
         assert ks_statistic(xs, own_ecdf) == pytest.approx(1.0 / len(xs), abs=1e-15)
 
     @pytest.mark.parametrize(
-        "samples", [[], [math.nan, 1.0], [math.nan]], ids=["empty", "nan", "all-nan"]
+        "samples, cdf",
+        [
+            ([], EXP1_CDF),
+            ([math.nan, 1.0], EXP1_CDF),
+            ([math.nan], EXP1_CDF),
+            # A reference CDF whose result does not match the samples' shape.
+            ([0.5, 1.0, 2.0], lambda x: 0.3),
+            ([0.5, 1.0, 2.0], lambda x: EXP1_CDF(x)[:1]),
+        ],
+        ids=["empty", "nan", "all-nan", "scalar-cdf", "short-cdf"],
     )
-    def test_rejects_empty(self, samples):
+    def test_rejects_empty(self, samples, cdf):
         with pytest.raises(ValueError):
-            ks_statistic(samples, EXP1_CDF)
+            ks_statistic(samples, cdf)
 
 
 class TestDkwBound:
@@ -181,8 +190,6 @@ class TestSampleATau:
         kept = a.copy()
         exp_law_verify(power, 5000, 0.01, seed=4)
         martingale_residual(power, 5000, default_time_grid(), seed=4)
-        scratch = sample_a_tau(power, 5000, seed=4, scratch=True)
-        assert scratch is not a and not np.shares_memory(scratch, a)
         assert sample_a_tau(power, 5000, seed=4) is not sample_a_tau(power, 5000, seed=4)
         np.testing.assert_array_equal(a.view(np.uint64), kept.view(np.uint64))
 
@@ -413,6 +420,9 @@ class TestMartingaleResidual:
             martingale_residual(poisson_model(1.0), 100, [math.inf], seed=1)
         with pytest.raises(ValueError):
             martingale_residual(poisson_model(1.0), 100, [-1.0], seed=1)
+        # An empty grid would give no residual, so even the negative control would pass.
+        with pytest.raises(ValueError):
+            martingale_residual(negative_control_model(), 1000, [], seed=1)
 
 
 class TestGatePower:
@@ -501,6 +511,8 @@ def reference_exp_law(model, n, alpha, seed):
 
 
 def reference_martingale(model, n, time_grid, seed):
+    if not time_grid:
+        raise ValueError("an empty grid has no residual to check")
     # Only the taus come from the sample; A(min(tau, t)) is evaluated per t.
     taus = model.sample(_exponential_draws(seed, n))[0]
     rows = []
@@ -522,6 +534,8 @@ def json_or_error(call, *args):
         return call(*args).to_json()
     except InfiniteSampleError:
         return "InfiniteSampleError"
+    except ValueError:
+        return "ValueError"
 
 
 REFERENCE_MODELS = (
