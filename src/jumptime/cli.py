@@ -6,8 +6,10 @@ for sample streams) and CSV tables for plotting.  Diagnostics go to stderr
 only; stdout or the --out file carries nothing but data.
 
 ``parse_args`` validates the command line and returns argparse's namespace,
-with the parsed ``params`` and ``grid``, resolved ``seed`` and the catalog
-model, built once by ``build_model``, written back as ``jump_model``.  Each
+with the parsed ``params`` and ``grid``, resolved ``seed``, and built once:
+the catalog model as ``jump_model`` and the announcing sequence as
+``sequence``.  The library's own ``ValueError`` is the usage error, so no
+rule of a parameter, a target or ``--m`` is repeated here.  Each
 subcommand but ``cox-demo`` is a builder that returns a ``_Report`` (JSON
 document, CSV rows, verdict, optional stderr summary), and ``_write`` alone
 chooses the format and maps the verdict to the exit status.  The verdicts are
@@ -15,14 +17,15 @@ the reports' own (``ExpLawReport.passed``, ``MartingaleReport.passed``, the
 Feller reports' ``passed``).  ``predictable-demo``'s report carries Y's knots
 apart from its document, and ``_write_knots_json`` writes them a block at a
 time by template, with the bytes ``json.dumps`` would give.  ``cox-demo``
-hands its rows to ``cox.write_cox_rows``, which writes them one draw block at
-a time.  numpy is bound lazily (see ``core``), so the commands that draw
-nothing never load it.
+hands the model's ``sampler`` to ``cox.write_cox_rows``, which writes the
+rows one draw block at a time.  numpy is bound lazily (see ``core``), so the
+commands that draw nothing never load it.
 
 Exit status contract: 0 all checks passed, 1 a verification honestly failed,
-2 usage error, 3 runtime error (including an infinite jump-time draw, a jump
-time that overflows a float, unwritable output paths, and an ``--n`` too
-large to allocate).
+2 usage error (or a value refused only at run time, such as a negative
+``--grid`` time, with no usage line), 3 runtime error (including an infinite
+jump-time draw, a jump time that overflows a float, unwritable output paths,
+and an ``--n`` too large to allocate).
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -46,7 +48,6 @@ from .predictable import (
     build_y_process,
     extract_strict_subsequence,
     make_announcing_sequence,
-    max_geometric_m,
     y_hitting_time,
 )
 from .processes import (
@@ -182,20 +183,13 @@ def parse_args(argv) -> argparse.Namespace:
         args.grid = _parse_grid(parser, args.grid)
 
     if args.command == "predictable-demo":
-        if not args.target > 0.0:
-            parser.error(f"--target must be positive, got {args.target}")
-        if args.target < sys.float_info.min:
+        # The library announces subnormal targets too; the CLI does not.
+        if not args.target >= sys.float_info.min:
             parser.error(f"--target must be at least {sys.float_info.min}, got {args.target}")
-        if args.m < 1:
-            parser.error(f"--m must be a positive integer, got {args.m}")
-        # An infinite target is refused by make_announcing_sequence itself.
-        if args.scheme == GEOMETRIC and math.isfinite(args.target):
-            limit = max_geometric_m(args.target)
-            if args.m > limit:
-                parser.error(
-                    f"--m must be at most {limit} for --target {args.target} "
-                    f"with the geometric scheme, got {args.m}"
-                )
+        try:
+            args.sequence = make_announcing_sequence(args.target, args.m, args.scheme)
+        except ValueError as exc:
+            parser.error(f"--target {args.target} --m {args.m} --scheme {args.scheme}: {exc}")
 
     return args
 
@@ -296,8 +290,7 @@ def _feller(args: argparse.Namespace) -> _Report:
 
 
 def _predictable_demo(args: argparse.Namespace) -> _Report:
-    seq = extract_strict_subsequence(make_announcing_sequence(args.target, args.m, args.scheme))
-    y = build_y_process(seq)
+    y = build_y_process(extract_strict_subsequence(args.sequence))
     hit = y_hitting_time(y)
     max_knot_error = max(abs(level - 1.0 / i) for i, level in enumerate(y.knot_levels, 1))
     summary = {
@@ -315,7 +308,7 @@ def _predictable_demo(args: argparse.Namespace) -> _Report:
 
 def _cox_demo(args: argparse.Namespace) -> int:
     with _open_out(args.out) as fh:
-        write_cox_rows(fh, args.jump_model.compensator, args.seed, args.n, args.format)
+        write_cox_rows(fh, args.jump_model.sampler, args.seed, args.n, args.format)
     return 0
 
 

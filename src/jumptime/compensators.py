@@ -48,6 +48,7 @@ import abc
 import csv
 import math
 import numbers
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -185,7 +186,7 @@ def _check_parameter(value, name: str) -> float:
     finite.  numpy's integer and float scalars count as real numbers."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not (math.isfinite(value) and value > 0.0):
+    if not 0.0 < value <= sys.float_info.max:  # an int past the float range is not finite
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return float(value)
 

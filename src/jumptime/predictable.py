@@ -98,8 +98,6 @@ def extract_strict_subsequence(seq: AnnouncingSequence) -> AnnouncingSequence:
     The result is strictly increasing, idempotent under repetition, and ends
     at the same maximum, so it announces the same target just as closely.
     """
-    if seq.target > 0.0 and not seq.times:
-        raise ValueError("cannot strictify an empty announcing sequence")
     times = seq.times
     if all(map(operator.lt, times, times[1:])):
         kept = times
@@ -108,8 +106,6 @@ def extract_strict_subsequence(seq: AnnouncingSequence) -> AnnouncingSequence:
         for t in times:
             if not kept or t > kept[-1]:
                 kept.append(t)
-    if seq.target == 0.0:
-        kept = kept[:1]
     return AnnouncingSequence(tuple(kept), seq.target)
 
 

@@ -1,9 +1,9 @@
 """Jump-time models and the semigroup of the one-jump indicator process.
 
-A JumpModel is a name, its compensator A and an optional sampler: tau is
-drawn as the Cox time A^{-1}(Z) of an Exp(1) level Z, and its law is
-P(tau <= t) = 1 - exp(-A(t)).  Only the negative control sets a sampler,
-drawing tau through a different compensator than the one it claims.
+A JumpModel is a name, its compensator A and the sampler S that tau is
+drawn through, S = A unless given: tau is the Cox time S^{-1}(Z) of an
+Exp(1) level Z, and its law is P(tau <= t) = 1 - exp(-S(t)).  Only the
+negative control gives a sampler other than the compensator it claims.
 ``JumpModel.sample`` maps draws to the pairs (tau, A(tau)) the verifiers
 read, refusing an infinite tau with ``InfiniteSampleError``.  It maps the
 draws a block at a time, into the caller's arrays or fresh ones, so that no
@@ -73,23 +73,22 @@ class JumpModel:
     """A jump time tau together with the compensator of 1_{t >= tau}.
 
     tau is the Cox time ``S.inverse(z)`` of an Exp(1) draw z, and its law is
-    ``P(tau <= t) = 1 - exp(-S(t))``, where S is ``sampler`` when set and the
-    compensator otherwise.  A correct model leaves ``sampler`` unset; only
-    the negative control draws tau through a compensator other than the one
-    it claims.
+    ``P(tau <= t) = 1 - exp(-S(t))``, where S is ``sampler``, the compensator
+    unless one is given.  A correct model gives none; only the negative
+    control draws tau through a compensator other than the one it claims.
     """
 
     name: str
     compensator: Compensator
     sampler: Optional[Compensator] = None
 
-    @property
-    def _drawn_through(self) -> Compensator:
-        return self.compensator if self.sampler is None else self.sampler
+    def __post_init__(self):
+        if self.sampler is None:
+            object.__setattr__(self, "sampler", self.compensator)
 
     def tau_from_z(self, z: float) -> TimePoint:
         """Map one Exp(1) draw to tau (INFINITY when the level is never reached)."""
-        return self._drawn_through.inverse(z)
+        return self.sampler.inverse(z)
 
     def sample(self, zs, out=None) -> tuple[np.ndarray, np.ndarray]:
         """(tau, A(tau)) per Exp(1) draw: tau from the sampler, A(tau) from the
@@ -107,7 +106,7 @@ class JumpModel:
         taus, a_taus = (np.empty(len(zs)), np.empty(len(zs))) if out is None else out
         blocks = [slice(i, i + core._DRAW_BLOCK) for i in range(0, len(zs), core._DRAW_BLOCK)]
         for b in blocks:
-            taus[b] = self._drawn_through.inverse_many(zs[b])
+            taus[b] = self.sampler.inverse_many(zs[b])
         if np.isinf(taus).any():
             raise InfiniteSampleError(
                 f"model {self.name!r} produced an infinite jump time; "
@@ -119,7 +118,7 @@ class JumpModel:
 
     def tau_cdf(self, t: float) -> float:
         """P(tau <= t) = 1 - exp(-S(t)) at a finite time t."""
-        return -math.expm1(-self._drawn_through.evaluate(t))
+        return -math.expm1(-self.sampler.evaluate(t))
 
     def sample_tau(self, stream: RngStream) -> TimePoint:
         """One draw of tau; never 0 because the exponential draw is positive."""

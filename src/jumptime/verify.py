@@ -188,8 +188,8 @@ def _ode_identity_sorted(xs: np.ndarray, grid) -> float:
     if n == 0:
         raise ValueError("ode_identity_check needs at least one sample")
     ts = np.asarray(grid, float)
-    if not np.all(ts >= 0.0):
-        raise ValueError(f"grid times must be nonnegative, got {ts[~(ts >= 0.0)][0]}")
+    if not np.all((ts >= 0.0) & (ts < math.inf)):
+        raise ValueError("grid times must be finite and nonnegative")
     ks = np.searchsorted(xs, ts, side="right")
     below = np.array([xs[:k].sum() for k in ks])
     estimate = (ks * ts - below) / n

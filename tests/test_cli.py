@@ -120,7 +120,8 @@ class TestParseArgs:
         assert parse_error_code(["predictable-demo", "--m", "60"]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
         assert len(errors) == 1
-        assert "--m must be at most 53" in errors[0] and "got 60" in errors[0]
+        assert "--m 60" in errors[0] and "m must be at most 53" in errors[0]
+        assert "got 60" in errors[0]
         assert main(["predictable-demo", "--m", "53"]) == 0
         assert main(["predictable-demo", "--m", "60", "--scheme", "harmonic"]) == 0
 
@@ -128,7 +129,21 @@ class TestParseArgs:
         assert parse_error_code(["predictable-demo", "--m", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: jumptime predictable-demo"), err
-        assert "jumptime predictable-demo: error: --m must be a positive integer" in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("jumptime predictable-demo: error: ")
+        assert "--m 0" in errors[0] and "m must be a positive integer" in errors[0]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--target=0"], ["--target=-1"], ["--target=nan"], ["--target=inf"],
+         ["--target=1e-320"], ["--m=0"], ["--m=60"]],
+    )
+    def test_refused_announcing_arguments_are_usage_errors(self, capsys, flags):
+        assert parse_error_code(["predictable-demo", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: jumptime predictable-demo"), err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and flags[0].split("=")[0] in errors[0], err
 
     @given(
         target=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
@@ -191,6 +206,14 @@ class TestRunExitCodes:
         code = main(["verify-exp-law", "--model", "negative-control", "--n", "3000"])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["passed"] is False
+
+    @pytest.mark.parametrize("time", ["-1", "nan", "inf"])
+    def test_a_grid_time_refused_at_run_time_is_two(self, capsys, time):
+        # The library refuses it after parsing, so no usage line comes first.
+        assert main(["verify-martingale", "--model", "flat", "--n", "100", f"--grid={time}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: grid times must be finite and nonnegative\n"
 
     def test_unwritable_out_is_three(self, capsys):
         code = main(
@@ -482,7 +505,7 @@ class TestCoxDemoBytes:
                      "--format", fmt]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        A = build_model(model).compensator
+        A = build_model(model).sampler
         assert_same_lines(captured.out, reference_rows(A, seed, range(n), fmt))
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -141,7 +141,7 @@ class TestLinear:
             LinearCompensator(1.0).evaluate(INFINITY)
 
     def test_rejects_bad_rate(self):
-        for rate in (0.0, -1.0, math.inf, math.nan, True, "1"):
+        for rate in (0.0, -1.0, math.inf, math.nan, True, "1", 10**400, -(10**400)):
             with pytest.raises(ValueError):
                 LinearCompensator(rate)
 
@@ -263,6 +263,10 @@ class TestTabulated:
         assert A.inverse(1.5) == TimePoint(2.5)
         assert A.inverse(2.0) == TimePoint(3.0)
         assert A.inverse(2.5) == TimePoint(3.5)
+
+    def test_rejects_unequal_times_and_values(self):
+        with pytest.raises(ValueError, match="^times and values must have equal length$"):
+            TabulatedCompensator((0.0, 1.0, 2.0), (0.0, 1.0))
 
     def test_array_calls_keep_equality_and_hash(self):
         # The knot arrays an array call builds are no part of the value.
@@ -612,6 +616,12 @@ class TestCsvLoader:
             load_tabulated_csv(self._write(tmp_path, ""))
         with pytest.raises(ValueError, match="two data rows"):
             load_tabulated_csv(self._write(tmp_path, "t,value\n"))
+
+    def test_rejects_a_one_column_header_or_row(self, tmp_path):
+        with pytest.raises(ValueError, match="^header must declare two columns"):
+            load_tabulated_csv(self._write(tmp_path, "t\n0,0\n1,1\n"))
+        with pytest.raises(ValueError, match="^row 2: expected two columns, got 1$"):
+            load_tabulated_csv(self._write(tmp_path, "t,value\n0,0\n1\n2,2\n"))
 
     @pytest.mark.parametrize(
         "times, values, knot, reason",

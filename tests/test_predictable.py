@@ -31,6 +31,11 @@ class TestAnnouncingSequence:
         with pytest.raises(ValueError, match="infinite target"):
             AnnouncingSequence((1.0,), math.inf)
 
+    @pytest.mark.parametrize("target", [math.nan, -1.0], ids=["nan", "negative"])
+    def test_rejects_nan_and_negative_target(self, target):
+        with pytest.raises(ValueError, match="^target must be a nonnegative real, got"):
+            AnnouncingSequence((), target)
+
     def test_rejects_times_at_or_above_target(self):
         with pytest.raises(ValueError, match="strictly below"):
             AnnouncingSequence((0.5, 1.0), 1.0)
@@ -147,6 +152,14 @@ class TestYProcessPath:
         y = YProcess(times=(0.0, 1.0, 3.0, 5.0), values=(4.0, 2.0, 1.0, 0.0))
         for t, value in ((1.0, 2.0), (3.0, 1.0), (0.5, 3.0), (2.0, 1.5), (4.0, 0.5), (10.0, 0.0)):
             assert y.left_limit(t) == y(t) == value
+
+    def test_infinite_time_rejected(self):
+        y = YProcess(times=(0.0, 1.0), values=(1.0, 0.0))
+        for t in (math.inf, INFINITY):
+            with pytest.raises(ValueError, match="^path evaluation requires a finite time$"):
+                y(t)
+            with pytest.raises(ValueError, match="^left limit requires a finite time$"):
+                y.left_limit(t)
 
     def test_left_limit_at_zero_rejected(self):
         y = YProcess(times=(0.0, 1.0), values=(1.0, 0.0))

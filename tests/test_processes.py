@@ -70,6 +70,10 @@ class TestPoissonModel:
             for value in ("2", None, True):
                 with pytest.raises(ValueError, match=f"^{key} must be a real number"):
                     build_model(name, {key: value})
+            # An int past the float range is a real number that is not finite.
+            for value in (10**400, -(10**400)):
+                with pytest.raises(ValueError, match=f"^{key} must be positive and finite"):
+                    build_model(name, {key: value})
 
     def test_sampling_is_reproducible_and_positive(self):
         model = poisson_model(0.5)
@@ -345,6 +349,10 @@ class TestSemigroup:
         v = semigroup_apply(gauss_bump, t, x, EXP1)
         assert lo - 1e-12 <= v <= hi + 1e-12
 
+    def test_rejects_an_infinite_time(self):
+        with pytest.raises(ValueError, match="^semigroup time must be finite$"):
+            semigroup_apply(gauss_bump, math.inf, 0.0, EXP1)
+
 
 class TestConditionalExpectation:
     def test_constants_are_unchanged(self):
@@ -370,6 +378,11 @@ class TestConditionalExpectation:
     def test_rejects_bad_ordering(self):
         with pytest.raises(ValueError):
             conditional_expectation_indicator(lambda y: y, 1.0, 1.0, EXP1)
+
+    @pytest.mark.parametrize("u, t", [(math.inf, 1.0), (math.inf, math.inf)])
+    def test_rejects_an_infinite_time(self, u, t):
+        with pytest.raises(ValueError, match="^u and t must be finite$"):
+            conditional_expectation_indicator(lambda y: y, u, t, EXP1)
 
     @given(st.floats(min_value=0.0, max_value=3.0), st.floats(min_value=1e-6, max_value=4.0))
     def test_tower_property_closed_form(self, t, du):

@@ -121,6 +121,8 @@ class TestOdeIdentity:
             ode_identity_check([1.0], [-0.5])
         with pytest.raises(ValueError, match="nonnegative"):
             ode_identity_check([1.0], [1.0, math.nan])
+        with pytest.raises(ValueError, match="^grid times must be finite and nonnegative$"):
+            ode_identity_check([0.5, 1.0, 2.0], [math.inf])
         # The closed form k * t - sum(x) assumes x >= 0, and a NaN would count
         # as lying above every t.
         for samples in ([-1.0], [0.5, -0.0, -1e-300], [math.nan, 1.0], [math.nan]):
@@ -423,6 +425,10 @@ class TestMartingaleResidual:
         # An empty grid would give no residual, so even the negative control would pass.
         with pytest.raises(ValueError):
             martingale_residual(negative_control_model(), 1000, [], seed=1)
+
+    def test_rejects_nonpositive_n(self):
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+            martingale_residual(poisson_model(1.0), 0, [1.0], seed=1)
 
 
 class TestGatePower:
