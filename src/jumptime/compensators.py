@@ -48,7 +48,6 @@ import abc
 import csv
 import math
 import numbers
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -182,13 +181,18 @@ def _check_level(s: float) -> float:
 
 
 def _check_parameter(value, name: str) -> float:
-    """A model parameter as a float: a real number, not a bool, positive and
-    finite.  numpy's integer and float scalars count as real numbers."""
+    """A model parameter as a float: a real number, not a bool, whose float is
+    positive and finite.  numpy's integer and float scalars count as real
+    numbers.  The message shows the float, so a huge int is never printed."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not 0.0 < value <= sys.float_info.max:  # an int past the float range is not finite
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int or fraction past the float range
+        x = math.inf if value > 0 else -math.inf
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+    return x
 
 
 def _check_nonnegative(xs, what: str = "levels") -> np.ndarray:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
@@ -138,9 +139,14 @@ def as_timepoint(t: TimeLike) -> TimePoint:
     return TimePoint(t)
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError("seed must be a 64-bit unsigned integer")
+def _check_seed(value: int, name: str = "seed") -> None:
+    """Refuse a seed or stream id that is not an integer in [0, 2**64)."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{name} must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -158,8 +164,7 @@ class RngStream:
 
     def __post_init__(self):
         _check_seed(self.seed)
-        if not 0 <= int(self.stream_id) < 2**64:
-            raise ValueError("stream_id must be a nonnegative 64-bit integer")
+        _check_seed(self.stream_id, "stream_id")
 
     @cached_property
     def _generator(self) -> np.random.Generator:

@@ -1,4 +1,4 @@
-"""Jump-time models and the semigroup of the one-jump indicator process.
+"""Jump-time models and the space-time indicator process they drive.
 
 A JumpModel is a name, its compensator A and the sampler S that tau is
 drawn through, S = A unless given: tau is the Cox time S^{-1}(Z) of an
@@ -13,19 +13,20 @@ whose keyword defaults are the CLI's.  It covers homogeneous and
 inhomogeneous arrival times, a Markov holding time, a synthetic model whose
 compensator has a flat piece, and the unlisted negative control.
 
-The indicator process X_t = 1_{t >= tau} (started at x, jumping to x + 1) is
-Feller; its semigroup has the closed form
+tau is the jump time of the space-time indicator (u, J_u), J_u = 1_{u >= tau},
+a Feller process.  Its one kernel, which ``semigroup_apply``,
+``conditional_expectation_indicator`` and ``feller_check`` all read, is
 
-    P_t f(x) = f(x) * P(t < tau) + f(x + 1) * P(tau <= t)
+    P_t f(u, 0) = q f(u + t, 0) + (1 - q) f(u + t, 1),  q = exp(-(S(u + t) - S(u)))
+    P_t f(u, 1) = f(u + t, 1)
 
-which follows the convention P_t f(x) = E[f(X_t + x)].  feller_check probes
-the three semigroup axioms on a finite witness set.
+q divides no survival probabilities, so it never underflows to 0/0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from . import core
@@ -41,10 +42,9 @@ from .core import RngStream, TimeLike, TimePoint, as_timepoint, draw_exponential
 
 __all__ = [
     "C0_WITNESSES",
+    "CHAPMAN_KOLMOGOROV_TOLERANCE",
     "DEFAULT_T_SCHEDULE",
-    "DEFAULT_X_GRID",
     "FellerReport",
-    "IndicatorProcessLaw",
     "InfiniteSampleError",
     "JumpModel",
     "build_model",
@@ -123,27 +123,6 @@ class JumpModel:
     def sample_tau(self, stream: RngStream) -> TimePoint:
         """One draw of tau; never 0 because the exponential draw is positive."""
         return self.tau_from_z(draw_exponential(stream))
-
-    def law(self) -> "IndicatorProcessLaw":
-        return IndicatorProcessLaw(self.tau_cdf, description=f"jump-time law of {self.name}")
-
-
-@dataclass(frozen=True)
-class IndicatorProcessLaw:
-    """Law of tau driving the indicator process, as a CDF handle.
-
-    The CDF must satisfy tau_cdf(0) = 0 (the jump happens strictly after 0)
-    and be nondecreasing and right-continuous; only the value at 0 can be
-    checked at construction time.
-    """
-
-    tau_cdf: Callable[[float], float]
-    description: str = ""
-
-    def __post_init__(self):
-        at_zero = self.tau_cdf(0.0)
-        if at_zero != 0.0:
-            raise ValueError(f"tau_cdf(0) must be 0, got {at_zero}")
 
 
 # --------------------------------------------------------------------------
@@ -262,45 +241,52 @@ def catalog_models() -> tuple[JumpModel, ...]:
     )
 
 
+
+
 # --------------------------------------------------------------------------
-# indicator process and semigroup
+# the space-time indicator process and its semigroup
+
+def _kernel(
+    model: JumpModel, f: Callable[[float, int], float], u: float, v: float, j: int
+) -> float:
+    """E[f(v, J_v) | J_u = j] for times u <= v: from j = 0, no jump happens
+    in (u, v] with probability q = exp(-(S(v) - S(u))), S the sampler."""
+    if j:
+        return f(v, 1)
+    S = model.sampler
+    q = math.exp(-(S.evaluate(v) - S.evaluate(u)))
+    return q * f(v, 0) + (1.0 - q) * f(v, 1)
 
 
-def semigroup_apply(f: Callable[[float], float], t: TimeLike, x: float, law: IndicatorProcessLaw) -> float:
-    """P_t f(x) = f(x) * P(t < tau) + f(x + 1) * P(tau <= t)."""
-    tp = as_timepoint(t)
-    if not tp.is_finite:
+def semigroup_apply(
+    f: Callable[[float, int], float], t: TimeLike, u: TimeLike, j: int, model: JumpModel
+) -> float:
+    """P_t f(u, j) = E[f(u + t, J_{u+t}) | J_u = j]."""
+    tp, up = as_timepoint(t), as_timepoint(u)
+    if not (tp.is_finite and up.is_finite):
         raise ValueError("semigroup time must be finite")
-    p = law.tau_cdf(tp.value)
-    return f(x) * (1.0 - p) + f(x + 1.0) * p
+    if j not in (0, 1):
+        raise ValueError(f"indicator state must be 0 or 1, got {j!r}")
+    return _kernel(model, f, up.value, up.value + tp.value, j)
 
 
 def conditional_expectation_indicator(
-    f: Callable[[float], float],
-    u: TimeLike,
-    t: TimeLike,
-    law: IndicatorProcessLaw,
+    f: Callable[[float], float], u: TimeLike, t: TimeLike, model: JumpModel
 ) -> tuple[float, float]:
-    """Coefficients of E[f(X_u) | past at t] = K1 * 1_{t >= tau} + K2 * 1_{t < tau}.
+    """Coefficients of E[f(J_u) | past at t] = K1 * 1_{t >= tau} + K2 * 1_{t < tau}.
 
-    On {t >= tau} the process has already jumped, so the prediction is
-    K1 = f(1).  On {t < tau} it is the conditional average
-    K2 = [f(0) * P(u < tau) + f(1) * P(t < tau <= u)] / P(t < tau),
-    computed in closed form from the law (never estimated).
+    Both come from the kernel from time t to u: K1 = f(1) from the jumped
+    state, and K2 = q * f(0) + (1 - q) * f(1) with q = exp(-(S(u) - S(t))).
+    The closed form divides by nothing, so it holds however small
+    P(t < tau) is.
     """
     up, tp = as_timepoint(u), as_timepoint(t)
     if not (up.is_finite and tp.is_finite):
         raise ValueError("u and t must be finite")
     if not up > tp:
         raise ValueError(f"need u > t, got u={up!r}, t={tp!r}")
-    p_t = law.tau_cdf(tp.value)
-    p_u = law.tau_cdf(up.value)
-    survive_t = 1.0 - p_t
-    if survive_t <= 0.0:
-        raise ValueError(f"P(t < tau) = 0 at t={tp!r}: conditioning on a null event")
-    k1 = f(1.0)
-    k2 = (f(0.0) * (1.0 - p_u) + f(1.0) * (p_u - p_t)) / survive_t
-    return k1, k2
+    g = lambda v, j: f(float(j))
+    return _kernel(model, g, tp.value, up.value, 1), _kernel(model, g, tp.value, up.value, 0)
 
 
 # --------------------------------------------------------------------------
@@ -321,28 +307,38 @@ def tent(y: float) -> float:
 #: Continuous functions vanishing at infinity; a finite witness set for C0.
 C0_WITNESSES: tuple[Callable[[float], float], ...] = (gauss_bump, inverse_quad, tent)
 
-#: -8 to 8 in steps of 0.2, bit for bit ``np.linspace(-8.0, 8.0, 81)``.
-DEFAULT_X_GRID: tuple[float, ...] = tuple(-8.0 + i * 0.2 for i in range(81))
+#: Each witness's Lipschitz constant, sup |g'|.
+_LIPSCHITZ = {gauss_bump: math.sqrt(2 / math.e), inverse_quad: 9 / (8 * math.sqrt(3)), tent: 1.0}
+
 DEFAULT_T_SCHEDULE: tuple[float, ...] = tuple(2.0**-k for k in range(21))
+
+#: Start times of the probed states (u, j): 0 to 8 in steps of 1/4, exact in binary.
+_U_GRID: tuple[float, ...] = tuple(i / 4 for i in range(33))
+
+#: The steps t and s of the Chapman-Kolmogorov probe.
+_CK_STEPS: tuple[float, ...] = (0.1, 0.5, 1.0)
+
+#: P_{t+s} f and P_t P_s f differ by a few ulps of the witness values, which
+#: lie in [0, 1]; a kernel that is not a semigroup misses by 0.1 or more.
+CHAPMAN_KOLMOGOROV_TOLERANCE = 1e-12
+
+#: Rounding allowance on e_final's bound: P_t f - f carries a few ulps of 1.
+_ROUNDING = 1e-15
 
 
 @dataclass(frozen=True)
 class FellerReport:
-    """Outcome of probing the three semigroup axioms on one witness function.
+    """Outcome of probing the semigroup laws on one witness f(u, j) = g(u + j).
 
-    identity_max_error covers P_0 f = f (must be exactly zero);
-    tail_value_max against tail_bound covers vanishing at infinity;
-    e_sequence = max |P_{t_k} f - f| covers strong continuity at 0 and must
-    be nonincreasing with e_final below the law-derived e_final_bound.
+    chapman_kolmogorov_max_error = max |P_{t+s} f - P_t P_s f| must lie
+    within CHAPMAN_KOLMOGOROV_TOLERANCE.  e_sequence = max |P_{t_k} f - f|
+    covers strong continuity at 0: it must be nonincreasing, with e_final
+    below e_final_bound = L (t_min + max_u (S(u + t_min) - S(u))), where L is
+    g's Lipschitz constant, since |P_t f - f| <= L t + (1 - q) L.
     """
 
     function_name: str
-    law_description: str
-    x_min: float
-    x_max: float
-    identity_max_error: float
-    tail_value_max: float
-    tail_bound: float
+    chapman_kolmogorov_max_error: float
     e_sequence: tuple[float, ...]
     e_final_bound: float
 
@@ -356,62 +352,55 @@ class FellerReport:
 
     @property
     def passed(self) -> bool:
-        """All three axioms hold on the witness set."""
+        """Both laws hold on the witness set."""
         return (
-            self.identity_max_error == 0.0
-            and self.tail_value_max <= self.tail_bound
+            self.chapman_kolmogorov_max_error <= CHAPMAN_KOLMOGOROV_TOLERANCE
             and self.nonincreasing
             and self.e_final <= self.e_final_bound
         )
 
     def to_json_dict(self) -> dict:
         return {
-            "function_name": self.function_name,
-            "law_description": self.law_description,
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "identity_max_error": self.identity_max_error,
-            "tail_value_max": self.tail_value_max,
-            "tail_bound": self.tail_bound,
-            "e_sequence": list(self.e_sequence),
+            **asdict(self),
+            "chapman_kolmogorov_tolerance": CHAPMAN_KOLMOGOROV_TOLERANCE,
             "e_final": self.e_final,
-            "e_final_bound": self.e_final_bound,
             "nonincreasing": self.nonincreasing,
             "passed": self.passed,
         }
 
 
-def feller_check(law: IndicatorProcessLaw, f: Callable[[float], float]) -> FellerReport:
-    """Probe the semigroup axioms for one witness function.
+def feller_check(model: JumpModel, g: Callable[[float], float]) -> FellerReport:
+    """Probe the semigroup laws of the model's indicator on f(u, j) = g(u + j).
 
-    The axioms are checked on ``DEFAULT_X_GRID``, with the tail bound taken
-    from f's own values at the grid extremes, and strong continuity along the
-    strictly decreasing positive times ``DEFAULT_T_SCHEDULE``.
+    g is one of ``C0_WITNESSES``, and the states are (u, j) with u on a
+    fixed grid of [0, 8].  Chapman-Kolmogorov is probed for the steps t, s
+    in {0.1, 0.5, 1}, and strong continuity along the strictly decreasing
+    times ``DEFAULT_T_SCHEDULE``.  Every semigroup value comes from
+    ``semigroup_apply``.
     """
-    identity_max_error = max(abs(semigroup_apply(f, 0.0, x, law) - f(x)) for x in DEFAULT_X_GRID)
-
-    x_min, x_max = min(DEFAULT_X_GRID), max(DEFAULT_X_GRID)
-    tail_bound = max(abs(f(x)) for x in (x_min, x_min + 1.0, x_max, x_max + 1.0)) + 1e-15
-    tail_value_max = max(
-        abs(semigroup_apply(f, t, x, law)) for t in DEFAULT_T_SCHEDULE for x in (x_min, x_max)
+    lipschitz = _LIPSCHITZ.get(g)
+    if lipschitz is None:
+        raise ValueError(f"{g!r} is not one of C0_WITNESSES, whose Lipschitz constants are known")
+    f = lambda u, j: g(u + j)
+    states = [(u, j) for u in _U_GRID for j in (0, 1)]
+    chapman_kolmogorov_max_error = max(
+        abs(
+            semigroup_apply(f, t + s, u, j, model)
+            - semigroup_apply(lambda v, k: semigroup_apply(f, s, v, k, model), t, u, j, model)
+        )
+        for t in _CK_STEPS
+        for s in _CK_STEPS
+        for u, j in states
     )
-
     e_sequence = tuple(
-        max(abs(semigroup_apply(f, t, x, law) - f(x)) for x in DEFAULT_X_GRID)
+        max(abs(semigroup_apply(f, t, u, j, model) - f(u, j)) for u, j in states)
         for t in DEFAULT_T_SCHEDULE
     )
-
-    max_abs_f = max(abs(f(x)) for x in DEFAULT_X_GRID)
-    e_final_bound = 2.0 * law.tau_cdf(DEFAULT_T_SCHEDULE[-1]) * max_abs_f + 1e-15
-
+    t_min, S = DEFAULT_T_SCHEDULE[-1], model.sampler
+    rise = max(S.evaluate(u + t_min) - S.evaluate(u) for u in _U_GRID)
     return FellerReport(
-        function_name=getattr(f, "__name__", repr(f)),
-        law_description=law.description,
-        x_min=x_min,
-        x_max=x_max,
-        identity_max_error=identity_max_error,
-        tail_value_max=tail_value_max,
-        tail_bound=tail_bound,
+        function_name=g.__name__,
+        chapman_kolmogorov_max_error=chapman_kolmogorov_max_error,
         e_sequence=e_sequence,
-        e_final_bound=e_final_bound,
+        e_final_bound=lipschitz * (t_min + rise) + _ROUNDING,
     )

@@ -332,6 +332,7 @@ class TestRunExitCodes:
         code = main(["feller-check", "--model", "poisson"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["model_name", "passed", "reports"]
         assert doc["passed"] is True
         assert len(doc["reports"]) == 3
         assert {r["function_name"] for r in doc["reports"]} == {
@@ -339,6 +340,9 @@ class TestRunExitCodes:
             "inverse_quad",
             "tent",
         }
+        for r in doc["reports"]:
+            assert r["chapman_kolmogorov_max_error"] <= r["chapman_kolmogorov_tolerance"]
+            assert r["e_final"] <= r["e_final_bound"]
 
 
 class TestOutputPurity:

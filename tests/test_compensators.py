@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 import warnings
 
 import numpy as np
@@ -141,8 +142,9 @@ class TestLinear:
             LinearCompensator(1.0).evaluate(INFINITY)
 
     def test_rejects_bad_rate(self):
-        for rate in (0.0, -1.0, math.inf, math.nan, True, "1", 10**400, -(10**400)):
-            with pytest.raises(ValueError):
+        rates = (0.0, -1.0, math.inf, math.nan, True, "1", 10**400, -(10**400))
+        for rate in rates + (Fraction(1, 10**400), 10**5000):
+            with pytest.raises(ValueError, match="^rate "):
                 LinearCompensator(rate)
 
     def test_overflowing_inverse_names_rate_and_level(self):

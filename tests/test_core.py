@@ -108,6 +108,16 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(0, 2**64)
 
+    def test_seed_and_stream_id_must_be_integers(self):
+        # int() would truncate these onto the draws of seed 1, stream 0.
+        for seed, stream_id, name in ((1.5, 0, "seed"), (1, 0.7, "stream_id"), (np.float64(1.0), 0, "seed")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                RngStream(seed, stream_id)
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            draw_exponentials(1.5, 3)
+        # numpy integers are integers.
+        assert RngStream(np.uint64(1), np.int64(0)).uniform_open() == RngStream(1, 0).uniform_open()
+
 
 class TestExponentialDraws:
     def test_inverse_transform_oracle(self):

@@ -1,6 +1,8 @@
 """Model catalog, the indicator semigroup, conditional expectations, and Feller checks."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jumptime import core
+from jumptime import core, processes
 from jumptime.compensators import (
     LinearCompensator,
     PowerCompensator,
@@ -18,9 +20,8 @@ from jumptime.compensators import (
 from jumptime.core import _DRAW_BLOCK, RngStream, TimePoint, draw_exponentials
 from jumptime.processes import (
     C0_WITNESSES,
+    CHAPMAN_KOLMOGOROV_TOLERANCE,
     DEFAULT_T_SCHEDULE,
-    DEFAULT_X_GRID,
-    IndicatorProcessLaw,
     InfiniteSampleError,
     JumpModel,
     build_model,
@@ -39,7 +40,15 @@ from jumptime.processes import (
     tent,
 )
 
-EXP1 = poisson_model(1.0).law()
+EXP1 = poisson_model(1.0)
+
+#: Every buildable model: the public ones at their defaults and the negative control.
+BUILT_MODELS = tuple(build_model(name) for name in catalog_names()) + (negative_control_model(),)
+
+
+def witness(g):
+    """The Feller check's witness on the space-time states: f(u, j) = g(u + j)."""
+    return lambda u, j: g(u + j)
 
 
 #: Each model that ``build_model`` builds from a parameter, and the parameter's name.
@@ -62,7 +71,7 @@ class TestPoissonModel:
         assert model.tau_cdf(1.0) == pytest.approx(1.0 - math.exp(-2.0))
 
     def test_rejects_bad_rate(self):
-        for rate in (0.0, -2.0, math.inf):
+        for rate in (0.0, -2.0, math.inf, Fraction(1, 10**400)):
             with pytest.raises(ValueError):
                 poisson_model(rate)
         # A value that is not a real number is refused under its own name.
@@ -70,8 +79,10 @@ class TestPoissonModel:
             for value in ("2", None, True):
                 with pytest.raises(ValueError, match=f"^{key} must be a real number"):
                     build_model(name, {key: value})
-            # An int past the float range is a real number that is not finite.
-            for value in (10**400, -(10**400)):
+            # An int past the float range is a real number that is not finite,
+            # and a positive fraction whose float is 0.0 is not positive.  An
+            # int too long to print is refused under its name all the same.
+            for value in (10**400, -(10**400), Fraction(1, 10**400), 10**5000):
                 with pytest.raises(ValueError, match=f"^{key} must be positive and finite"):
                     build_model(name, {key: value})
 
@@ -299,9 +310,8 @@ class TestCatalog:
 
     def test_every_catalog_model_has_a_law(self):
         for model in catalog_models():
-            law = model.law()
-            assert law.tau_cdf(0.0) == 0.0
-            assert law.tau_cdf(50.0) > 0.99
+            assert model.tau_cdf(0.0) == 0.0
+            assert model.tau_cdf(50.0) > 0.99
 
     def test_empirical_law_matches_tau_cdf(self):
         # DKW band at n = 4000, alpha = 1e-6: conservative and fast
@@ -315,43 +325,89 @@ class TestCatalog:
             assert ks < band, model.name
 
 
+
+
+def translation_invariant(f, t, u, j, model):
+    """The deleted kernel: from any state the indicator may jump again, j to j + 1."""
+    p = model.tau_cdf(t)
+    return f(u, j) * (1.0 - p) + f(u, j + 1) * p
+
+
+def timeless_absorbing(f, t, u, j, model):
+    """The two-state kernel that forgets time: a semigroup only when A is linear."""
+    if j:
+        return f(u, 1)
+    q = math.exp(-model.sampler.evaluate(t))
+    return q * f(u, 0) + (1.0 - q) * f(u, 1)
+
+
 class TestSemigroup:
     def test_time_zero_is_the_identity_exactly(self):
-        for f in C0_WITNESSES:
-            for x in DEFAULT_X_GRID:
-                assert semigroup_apply(f, 0.0, x, EXP1) == f(x)
+        for model in BUILT_MODELS:
+            for g in C0_WITNESSES:
+                f = witness(g)
+                for u in (0.0, 0.3, 1.5, 7.75):
+                    for j in (0, 1):
+                        assert semigroup_apply(f, 0.0, u, j, model) == f(u, j)
 
     def test_hand_value_for_exponential_half_life(self):
-        law = poisson_model(2.0).law()
         t = math.log(2.0) / 2.0
-        assert semigroup_apply(lambda y: y, t, 0.0, law) == pytest.approx(0.5)
+        assert semigroup_apply(lambda u, j: j, t, 0.0, 0, poisson_model(2.0)) == pytest.approx(0.5)
 
     def test_constants_are_fixed_points(self):
         c = 3.25
         for t in (0.0, 0.5, 2.0):
-            assert semigroup_apply(lambda y: c, t, 1.0, EXP1) == pytest.approx(c)
+            for j in (0, 1):
+                assert semigroup_apply(lambda u, k: c, t, 1.0, j, EXP1) == pytest.approx(c)
 
     def test_gauss_value_at_origin(self):
-        # P_1 f(0) = e^{-1} * f(0) + (1 - e^{-1}) * f(1) with f = exp(-y^2)
+        # P_1 f(0, 0) = e^{-1} * g(0) + (1 - e^{-1}) * g(1) for f(u, j) = g(j), g = exp(-y^2)
         expected = math.exp(-1.0) + (1.0 - math.exp(-1.0)) * math.exp(-1.0)
-        assert semigroup_apply(gauss_bump, 1.0, 0.0, EXP1) == pytest.approx(
-            expected, abs=1e-15
-        )
+        f = lambda u, j: gauss_bump(j)
+        assert semigroup_apply(f, 1.0, 0.0, 0, EXP1) == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.600423599106, abs=1e-9)
+
+    def test_the_kernel_moves_time_and_jumps_at_most_once(self):
+        # From (u, 0) under A(t) = t^2: stay unjumped with q = exp(-(A(u + t) - A(u))).
+        f = lambda u, j: u + 10.0 * j
+        q = math.exp(-(2.5**2 - 2.0**2))
+        model = build_model("power")
+        assert semigroup_apply(f, 0.5, 2.0, 0, model) == pytest.approx(q * 2.5 + (1.0 - q) * 12.5)
+        assert semigroup_apply(f, 0.5, 2.0, 1, model) == 12.5
 
     @given(
         st.floats(min_value=0.0, max_value=20.0),
-        st.floats(min_value=-5.0, max_value=5.0),
+        st.floats(min_value=0.0, max_value=5.0),
+        st.sampled_from((0, 1)),
     )
-    def test_value_stays_in_the_convex_hull(self, t, x):
-        lo = min(gauss_bump(x), gauss_bump(x + 1.0))
-        hi = max(gauss_bump(x), gauss_bump(x + 1.0))
-        v = semigroup_apply(gauss_bump, t, x, EXP1)
+    def test_value_stays_in_the_convex_hull(self, t, u, j):
+        f = witness(gauss_bump)
+        lo, hi = sorted((f(u + t, j), f(u + t, 1)))
+        v = semigroup_apply(f, t, u, j, EXP1)
         assert lo - 1e-12 <= v <= hi + 1e-12
 
+    @given(
+        st.sampled_from(catalog_models()),
+        st.sampled_from(C0_WITNESSES),
+        st.floats(min_value=0.0, max_value=8.0),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.floats(min_value=0.0, max_value=2.0),
+        st.sampled_from((0, 1)),
+    )
+    def test_chapman_kolmogorov(self, model, g, u, t, s, j):
+        f = witness(g)
+        p_s = lambda v, k: semigroup_apply(f, s, v, k, model)
+        one_step = semigroup_apply(f, t + s, u, j, model)
+        assert semigroup_apply(p_s, t, u, j, model) == pytest.approx(one_step, abs=1e-12)
+
     def test_rejects_an_infinite_time(self):
-        with pytest.raises(ValueError, match="^semigroup time must be finite$"):
-            semigroup_apply(gauss_bump, math.inf, 0.0, EXP1)
+        for t, u in ((math.inf, 0.0), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="^semigroup time must be finite$"):
+                semigroup_apply(witness(gauss_bump), t, u, 0, EXP1)
+
+    def test_rejects_a_state_that_is_not_an_indicator(self):
+        with pytest.raises(ValueError, match="^indicator state must be 0 or 1, got 2$"):
+            semigroup_apply(witness(gauss_bump), 1.0, 0.0, 2, EXP1)
 
 
 class TestConditionalExpectation:
@@ -369,11 +425,20 @@ class TestConditionalExpectation:
         assert k1 == 1.0
         assert k2 == pytest.approx(1.0 - math.exp(-1.0), abs=1e-14)
 
-    def test_rejects_conditioning_on_a_null_event(self):
-        # tau <= 1 almost surely, so {1 < tau} is null
-        law = IndicatorProcessLaw(lambda t: min(1.0, float(t)), description="uniform")
-        with pytest.raises(ValueError, match="null"):
-            conditional_expectation_indicator(lambda y: y, 2.0, 1.0, law)
+    @pytest.mark.parametrize(
+        "model, t, u, rise",
+        [(build_model("power"), 10.0, 11.0, 21.0), (poisson_model(1.0), 40.0, 41.0, 1.0)],
+        ids=["power", "poisson"],
+    )
+    def test_far_tail_is_the_closed_form(self, model, t, u, rise):
+        # P(t < tau) is below the float resolution of 1 - F(t) here, so the
+        # conditional law must come from S(u) - S(t), not from 1 - F.
+        assert model.tau_cdf(t) == 1.0
+        f = lambda y: 3.0 * y + 2.0
+        q = math.exp(-rise)
+        k1, k2 = conditional_expectation_indicator(f, u, t, model)
+        assert k1 == 5.0
+        assert k2 == pytest.approx(q * 2.0 + (1.0 - q) * 5.0, rel=1e-15)
 
     def test_rejects_bad_ordering(self):
         with pytest.raises(ValueError):
@@ -396,47 +461,61 @@ class TestConditionalExpectation:
 
 
 class TestFellerCheck:
-    def test_identity_error_is_exactly_zero(self):
-        for f in C0_WITNESSES:
-            assert feller_check(EXP1, f).identity_max_error == 0.0
-
-    def test_errors_shrink_monotonically_to_zero(self):
-        for f in C0_WITNESSES:
-            report = feller_check(EXP1, f)
-            assert report.nonincreasing
-            assert report.e_final < 1e-6
+    @pytest.mark.parametrize("model", BUILT_MODELS, ids=lambda m: m.name)
+    def test_every_model_passes(self, model):
+        # The negative control too: the check is on tau's own law, Exp(2).
+        for g in C0_WITNESSES:
+            report = feller_check(model, g)
+            assert report.chapman_kolmogorov_max_error <= CHAPMAN_KOLMOGOROV_TOLERANCE
             assert report.passed
 
-    def test_tail_values_below_the_tail_bound(self):
-        for f in C0_WITNESSES:
-            report = feller_check(EXP1, f)
-            assert report.tail_value_max <= report.tail_bound
+    def test_errors_shrink_monotonically_to_zero(self):
+        for g in C0_WITNESSES:
+            report = feller_check(EXP1, g)
+            assert report.nonincreasing
+            assert report.e_final <= report.e_final_bound < 1e-5
+            assert report.passed
 
-    def test_default_schedule_and_grid(self):
+    def test_e_final_bound_is_read_off_the_sampler(self):
+        # A(u + t) - A(u) = t for rate 1, and tent's Lipschitz constant is 1.
+        t_min = DEFAULT_T_SCHEDULE[-1]
+        assert feller_check(EXP1, tent).e_final_bound == 2.0 * t_min + 1e-15
+        # For A(t) = t^2 the largest rise on [0, 8] is at u = 8.
+        rise = (8.0 + t_min) ** 2 - 64.0
+        assert feller_check(build_model("power"), tent).e_final_bound == pytest.approx(t_min + rise)
+
+    @pytest.mark.parametrize("model", BUILT_MODELS, ids=lambda m: m.name)
+    def test_the_translation_invariant_kernel_fails(self, model, monkeypatch):
+        monkeypatch.setattr(processes, "semigroup_apply", translation_invariant)
+        reports = [feller_check(model, g) for g in C0_WITNESSES]
+        assert not all(r.passed for r in reports)
+        assert max(r.chapman_kolmogorov_max_error for r in reports) > 0.01
+
+    @pytest.mark.parametrize("name", ["power", "flat"])
+    def test_the_timeless_absorbing_kernel_fails_where_a_is_not_linear(self, name, monkeypatch):
+        monkeypatch.setattr(processes, "semigroup_apply", timeless_absorbing)
+        for g in C0_WITNESSES:
+            assert not feller_check(build_model(name), g).passed
+
+    def test_default_schedule(self):
         assert DEFAULT_T_SCHEDULE[0] == 1.0
         assert DEFAULT_T_SCHEDULE[-1] == 2.0**-20
         assert all(0.0 < b < a for a, b in zip(DEFAULT_T_SCHEDULE, DEFAULT_T_SCHEDULE[1:]))
-        assert DEFAULT_X_GRID[0] == -8.0 and DEFAULT_X_GRID[-1] == 8.0
 
-    def test_default_grid_is_linspace_bit_for_bit(self):
-        # The grid is built without numpy; Feller reports depend on its bits.
-        linspace = np.linspace(-8.0, 8.0, 81)
-        assert DEFAULT_X_GRID == tuple(linspace)
-        np.testing.assert_array_equal(np.array(DEFAULT_X_GRID).view(np.uint64), linspace.view(np.uint64))
+    def test_rejects_a_function_outside_the_witness_set(self):
+        with pytest.raises(ValueError, match="C0_WITNESSES"):
+            feller_check(EXP1, math.sin)
 
     @pytest.mark.parametrize(
         "broken",
         [
-            {"identity_max_error": 1e-300},
-            {"tail_value_max": math.inf},
+            {"chapman_kolmogorov_max_error": 1e-9},
             {"e_sequence": (0.0,) + feller_check(EXP1, gauss_bump).e_sequence},
             {"e_final_bound": -1.0},
         ],
-        ids=["identity", "tail", "nonincreasing", "e_final"],
+        ids=["chapman-kolmogorov", "nonincreasing", "e_final"],
     )
     def test_verdict_follows_each_clause(self, broken):
-        from dataclasses import replace
-
         report = feller_check(EXP1, gauss_bump)
         assert report.passed is True
         assert replace(report, **broken).passed is False
@@ -447,19 +526,17 @@ class TestFellerCheck:
         assert d["passed"] is True
         assert d["e_sequence"][-1] == report.e_final
         assert d["function_name"] == "tent"
+        assert d["chapman_kolmogorov_max_error"] == report.chapman_kolmogorov_max_error
+        assert d["chapman_kolmogorov_tolerance"] == CHAPMAN_KOLMOGOROV_TOLERANCE
 
 
 class TestLawValidation:
-    def test_rejects_mass_at_zero(self):
-        with pytest.raises(ValueError):
-            IndicatorProcessLaw(lambda t: 0.5)
-
     def test_exponential_classmethod(self):
-        law = poisson_model(2.0).law()
-        assert law.tau_cdf(0.0) == 0.0
-        assert law.tau_cdf(1.0) == pytest.approx(1.0 - math.exp(-2.0))
+        model = poisson_model(2.0)
+        assert model.tau_cdf(0.0) == 0.0
+        assert model.tau_cdf(1.0) == pytest.approx(1.0 - math.exp(-2.0))
         with pytest.raises(ValueError):
-            poisson_model(0.0).law()
+            poisson_model(0.0)
 
     def test_witness_shapes(self):
         assert gauss_bump(0.0) == 1.0
