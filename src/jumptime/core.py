@@ -256,9 +256,21 @@ def _exponentials_from_words(words: np.ndarray) -> np.ndarray:
     return -np.fromiter(map(math.log, u.tolist()), float, len(u))
 
 
+def _check_count(n: int) -> int:
+    """n as an int; refuses a count of stream ids that is not an integer in [0, 2**64]."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got {n!r}") from None
+    if not 0 <= n <= 2**64:
+        raise ValueError(f"n must lie in [0, 2**64], got {n}")
+    return n
+
+
 def exponential_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
     """``draw_exponential(RngStream(seed, k))`` for k = 0..n-1, in blocks.
 
+    Refuses a bad seed or count at once, before any block is asked for.
     Yields consecutive arrays of at most ``_DRAW_BLOCK`` draws, computing each
     block only when it is asked for, so memory stays flat in n.  Philox is
     counter-based, so each stream's first draw is a pure function of
@@ -266,16 +278,21 @@ def exponential_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
     generator per id.
     """
     _check_seed(seed)
+    return _blocks(int(seed), _check_count(n))
+
+
+def _blocks(seed: int, n: int) -> Iterator[np.ndarray]:
     for start in range(0, n, _DRAW_BLOCK):
         ids = np.arange(start, min(start + _DRAW_BLOCK, n), dtype=np.uint64)
-        yield _exponentials_from_words(_philox_first_words(int(seed), ids))
+        yield _exponentials_from_words(_philox_first_words(seed, ids))
 
 
 def draw_exponentials(seed: int, n: int) -> np.ndarray:
     """``draw_exponential(RngStream(seed, k))`` for k = 0..n-1, bit for bit, as one array."""
+    blocks = exponential_blocks(seed, n)
     out = np.empty(n)
     start = 0
-    for block in exponential_blocks(seed, n):
+    for block in blocks:
         out[start : start + len(block)] = block
         start += len(block)
     return out

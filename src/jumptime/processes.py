@@ -25,8 +25,9 @@ q divides no survival probabilities, so it never underflows to 0/0.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
 from . import core
@@ -369,6 +370,14 @@ class FellerReport:
         }
 
 
+class _EvaluatedOnce:
+    """A sampler seen by one check: ``evaluate`` runs once per distinct time,
+    and the values are dropped with the check."""
+
+    def __init__(self, sampler: Compensator):
+        self.evaluate = functools.cache(sampler.evaluate)
+
+
 def feller_check(model: JumpModel, g: Callable[[float], float]) -> FellerReport:
     """Probe the semigroup laws of the model's indicator on f(u, j) = g(u + j).
 
@@ -382,6 +391,8 @@ def feller_check(model: JumpModel, g: Callable[[float], float]) -> FellerReport:
     if lipschitz is None:
         raise ValueError(f"{g!r} is not one of C0_WITNESSES, whose Lipschitz constants are known")
     f = lambda u, j: g(u + j)
+    # About 10 000 kernel values read S at a few hundred distinct times.
+    model = replace(model, sampler=_EvaluatedOnce(model.sampler))
     states = [(u, j) for u in _U_GRID for j in (0, 1)]
     chapman_kolmogorov_max_error = max(
         abs(

@@ -171,6 +171,17 @@ class TestVectorisedDraws:
             with pytest.raises(ValueError, match="64-bit"):
                 draw_exponentials(seed, 3)
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [(-3, r"^n must lie in \[0, 2\*\*64\], got -3$"), (1.5, "^n must be an integer, got 1.5$")],
+    )
+    def test_a_bad_count_is_refused_by_both_draw_paths(self, n, message):
+        with pytest.raises(ValueError, match=message):
+            draw_exponentials(0, n)
+        # At the call, before any block is asked for.
+        with pytest.raises(ValueError, match=message):
+            exponential_blocks(0, n)
+
     def test_blocks_split_the_array(self):
         n = 2 * _DRAW_BLOCK + 3
         blocks = list(exponential_blocks(9, n))

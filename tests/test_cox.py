@@ -5,6 +5,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from jumptime.compensators import (
     TabulatedCompensator,
 )
 from jumptime.core import INFINITY, RngStream, TimePoint
-from jumptime.cox import cox_round_trip, cox_sample, cox_time, write_cox_rows
+from jumptime.cox import _float_text, cox_round_trip, cox_sample, cox_time, write_cox_rows
 from jumptime.processes import catalog_models, flat_compensator_model
 
 #: Every catalog compensator, plus a bounded one whose high levels are never hit.
@@ -187,24 +188,96 @@ class TestWriteCoxRows:
             return first_words(seed, ids)
 
         class RefusingSink(io.StringIO):
-            def writelines(self, lines):
+            def write(self, text):
                 seen.append(len(calls))
-                if len(seen) == 2:
+                if len(calls) == 2:
                     raise OSError("sink full")
-                super().writelines(lines)
+                return super().write(text)
 
         monkeypatch.setattr(core, "_philox_first_words", counting)
         sink = RefusingSink()
         with pytest.raises(OSError, match="sink full"):
             write_cox_rows(sink, LinearCompensator(1.0), 0, 10**12, "json")
-        # The first block was written after exactly one draw call.
-        assert seen == [1, 2] and calls == [core._DRAW_BLOCK] * 2
+        # The header was written before any draw, the first block after
+        # exactly one draw call, and the second block was refused.
+        assert seen[0] == 0 and set(seen[1:-1]) == {1} and seen[-1] == 2
+        assert calls == [core._DRAW_BLOCK] * 2
         assert sink.getvalue().count("\n") == core._DRAW_BLOCK
 
     def test_seed_range_validated(self):
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="64-bit"):
                 write_cox_rows(io.StringIO(), LinearCompensator(1.0), seed, 3, "json")
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [(-3, r"^n must lie in \[0, 2\*\*64\], got -3$"), (2**64 + 1, "^n must lie in"),
+         (1.5, "^n must be an integer, got 1.5$"), ("3", "^n must be an integer")],
+    )
+    def test_a_bad_count_is_refused_before_the_header(self, n, message):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=message):
+            write_cox_rows(buf, LinearCompensator(1.0), 0, n, "csv")
+        assert buf.getvalue() == ""
+
+    def test_an_unknown_format_is_refused(self):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="^format must be one of json, csv, got 'xml'$"):
+            write_cox_rows(buf, LinearCompensator(1.0), 0, 3, "xml")
+        assert buf.getvalue() == ""
+
+    def test_a_numpy_count_is_a_count(self):
+        rows = io.StringIO()
+        write_cox_rows(rows, LinearCompensator(1.0), 4, np.int64(3), "csv")
+        assert rows.getvalue() == render(reference_samples(LinearCompensator(1.0), 4, 3)[0], "csv")
+
+
+def float_texts(x) -> list[str]:
+    """``_float_text`` of each value, its NUL slots dropped."""
+    rows = _float_text(np.asarray(x, dtype=float))
+    lines = np.concatenate([rows, np.full((len(rows), 1), ord("\n"), np.uint8)], axis=1)
+    return lines.tobytes().translate(None, b"\0").decode("ascii").splitlines()
+
+
+def assert_texts_are_repr(xs: np.ndarray) -> None:
+    """``float_texts`` equals ``repr`` on every value, 2**16 values at a time."""
+    for start in range(0, len(xs), 2**16):
+        part = xs[start : start + 2**16]
+        assert float_texts(part) == list(map(repr, part.tolist()))
+
+
+def neighbours(xs: np.ndarray) -> np.ndarray:
+    """Each value and the floats just below and above it."""
+    return np.concatenate([np.nextafter(xs, -np.inf), xs, np.nextafter(xs, np.inf)])
+
+
+class TestFloatText:
+    """The numpy shortest-digit renderer against ``repr``."""
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+            | st.floats(allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_equals_repr(self, xs):
+        assert float_texts(xs) == list(map(repr, xs))
+
+    def test_edge_sets(self):
+        tiny = np.arange(1, 200_000, dtype=np.uint64).view(np.float64)  # subnormals
+        twos = neighbours(np.ldexp(1.0, np.arange(-1074, 1024)))
+        tens = neighbours(np.array([10.0**e for e in range(-323, 309)]))
+        near_2_53 = np.arange(2.0**53 - 1000, 2.0**53 + 1000)
+        switches = neighbours(np.array([1e-4, 1e-5, 1e15, 1e16, 1e17, 9999999999999998.0]))
+        extremes = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+        assert_texts_are_repr(np.concatenate([tiny, twos, tens, near_2_53, switches, extremes]))
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(2027).integers(0, 2**64, 10**6, dtype=np.uint64)
+        xs = bits.view(np.float64)
+        assert_texts_are_repr(xs[np.isfinite(xs)])
 
 
 class TestRoundTrip:
