@@ -139,14 +139,20 @@ def as_timepoint(t: TimeLike) -> TimePoint:
     return TimePoint(t)
 
 
-def _check_seed(value: int, name: str = "seed") -> None:
-    """Refuse a seed or stream id that is not an integer in [0, 2**64)."""
+def _as_integer(value: int, name: str) -> int:
+    """value as an int; refuses one that ``operator.index`` does not take."""
     try:
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_seed(value: int, name: str = "seed") -> int:
+    """value as an int; refuses a seed or stream id that is not an integer in [0, 2**64)."""
+    value = _as_integer(value, name)
     if not 0 <= value < 2**64:
         raise ValueError(f"{name} must be a 64-bit unsigned integer")
+    return value
 
 
 @dataclass(frozen=True)
@@ -258,10 +264,7 @@ def _exponentials_from_words(words: np.ndarray) -> np.ndarray:
 
 def _check_count(n: int) -> int:
     """n as an int; refuses a count of stream ids that is not an integer in [0, 2**64]."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer, got {n!r}") from None
+    n = _as_integer(n, "n")
     if not 0 <= n <= 2**64:
         raise ValueError(f"n must lie in [0, 2**64], got {n}")
     return n
@@ -277,8 +280,7 @@ def exponential_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
     ``(seed, k)`` and a block of ids is computed without building a
     generator per id.
     """
-    _check_seed(seed)
-    return _blocks(int(seed), _check_count(n))
+    return _blocks(_check_seed(seed), _check_count(n))
 
 
 def _blocks(seed: int, n: int) -> Iterator[np.ndarray]:
@@ -289,10 +291,12 @@ def _blocks(seed: int, n: int) -> Iterator[np.ndarray]:
 
 def draw_exponentials(seed: int, n: int) -> np.ndarray:
     """``draw_exponential(RngStream(seed, k))`` for k = 0..n-1, bit for bit, as one array."""
-    blocks = exponential_blocks(seed, n)
+    seed, n = _check_seed(seed), _check_count(n)
+    if 8 * n > np.iinfo(np.intp).max:  # no array holds them: refused before numpy is asked
+        raise MemoryError(f"n = {n} draws take {8 * n} bytes, more than an array can address")
     out = np.empty(n)
     start = 0
-    for block in blocks:
+    for block in _blocks(seed, n):
         out[start : start + len(block)] = block
         start += len(block)
     return out

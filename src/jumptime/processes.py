@@ -14,20 +14,20 @@ inhomogeneous arrival times, a Markov holding time, a synthetic model whose
 compensator has a flat piece, and the unlisted negative control.
 
 tau is the jump time of the space-time indicator (u, J_u), J_u = 1_{u >= tau},
-a Feller process.  Its one kernel, which ``semigroup_apply``,
-``conditional_expectation_indicator`` and ``feller_check`` all read, is
+a Feller process.  Its one kernel, read off ``S.evaluate`` at float times, is
 
     P_t f(u, 0) = q f(u + t, 0) + (1 - q) f(u + t, 1),  q = exp(-(S(u + t) - S(u)))
     P_t f(u, 1) = f(u + t, 1)
 
 q divides no survival probabilities, so it never underflows to 0/0.
+``semigroup_apply`` and ``conditional_expectation_indicator`` check their
+times first; ``feller_check`` reads the kernel directly on its float grids.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from . import core
@@ -242,20 +242,17 @@ def catalog_models() -> tuple[JumpModel, ...]:
     )
 
 
-
-
 # --------------------------------------------------------------------------
 # the space-time indicator process and its semigroup
 
 def _kernel(
-    model: JumpModel, f: Callable[[float, int], float], u: float, v: float, j: int
+    S: Callable[[float], float], f: Callable[[float, int], float], u: float, v: float, j: int
 ) -> float:
     """E[f(v, J_v) | J_u = j] for times u <= v: from j = 0, no jump happens
-    in (u, v] with probability q = exp(-(S(v) - S(u))), S the sampler."""
+    in (u, v] with probability q = exp(-(S(v) - S(u))), S the sampler's A."""
     if j:
         return f(v, 1)
-    S = model.sampler
-    q = math.exp(-(S.evaluate(v) - S.evaluate(u)))
+    q = math.exp(-(S(v) - S(u)))
     return q * f(v, 0) + (1.0 - q) * f(v, 1)
 
 
@@ -268,7 +265,7 @@ def semigroup_apply(
         raise ValueError("semigroup time must be finite")
     if j not in (0, 1):
         raise ValueError(f"indicator state must be 0 or 1, got {j!r}")
-    return _kernel(model, f, up.value, up.value + tp.value, j)
+    return _kernel(model.sampler.evaluate, f, up.value, up.value + tp.value, j)
 
 
 def conditional_expectation_indicator(
@@ -286,8 +283,8 @@ def conditional_expectation_indicator(
         raise ValueError("u and t must be finite")
     if not up > tp:
         raise ValueError(f"need u > t, got u={up!r}, t={tp!r}")
-    g = lambda v, j: f(float(j))
-    return _kernel(model, g, tp.value, up.value, 1), _kernel(model, g, tp.value, up.value, 0)
+    S, g = model.sampler.evaluate, lambda v, j: f(float(j))
+    return _kernel(S, g, tp.value, up.value, 1), _kernel(S, g, tp.value, up.value, 0)
 
 
 # --------------------------------------------------------------------------
@@ -370,45 +367,35 @@ class FellerReport:
         }
 
 
-class _EvaluatedOnce:
-    """A sampler seen by one check: ``evaluate`` runs once per distinct time,
-    and the values are dropped with the check."""
-
-    def __init__(self, sampler: Compensator):
-        self.evaluate = functools.cache(sampler.evaluate)
-
-
 def feller_check(model: JumpModel, g: Callable[[float], float]) -> FellerReport:
     """Probe the semigroup laws of the model's indicator on f(u, j) = g(u + j).
 
     g is one of ``C0_WITNESSES``, and the states are (u, j) with u on a
     fixed grid of [0, 8].  Chapman-Kolmogorov is probed for the steps t, s
     in {0.1, 0.5, 1}, and strong continuity along the strictly decreasing
-    times ``DEFAULT_T_SCHEDULE``.  Every semigroup value comes from
-    ``semigroup_apply``.
+    times ``DEFAULT_T_SCHEDULE``.  Every semigroup value is read off the kernel
+    on these float grids, as ``semigroup_apply`` reads it after its checks.
     """
     lipschitz = _LIPSCHITZ.get(g)
     if lipschitz is None:
         raise ValueError(f"{g!r} is not one of C0_WITNESSES, whose Lipschitz constants are known")
-    f = lambda u, j: g(u + j)
-    # About 10 000 kernel values read S at a few hundred distinct times.
-    model = replace(model, sampler=_EvaluatedOnce(model.sampler))
+    f, S = lambda u, j: g(u + j), model.sampler.evaluate
     states = [(u, j) for u in _U_GRID for j in (0, 1)]
     chapman_kolmogorov_max_error = max(
         abs(
-            semigroup_apply(f, t + s, u, j, model)
-            - semigroup_apply(lambda v, k: semigroup_apply(f, s, v, k, model), t, u, j, model)
+            _kernel(S, f, u, u + (t + s), j)
+            - _kernel(S, lambda v, k: _kernel(S, f, v, v + s, k), u, u + t, j)
         )
         for t in _CK_STEPS
         for s in _CK_STEPS
         for u, j in states
     )
     e_sequence = tuple(
-        max(abs(semigroup_apply(f, t, u, j, model) - f(u, j)) for u, j in states)
+        max(abs(_kernel(S, f, u, u + t, j) - f(u, j)) for u, j in states)
         for t in DEFAULT_T_SCHEDULE
     )
-    t_min, S = DEFAULT_T_SCHEDULE[-1], model.sampler
-    rise = max(S.evaluate(u + t_min) - S.evaluate(u) for u in _U_GRID)
+    t_min = DEFAULT_T_SCHEDULE[-1]
+    rise = max(S(u + t_min) - S(u) for u in _U_GRID)
     return FellerReport(
         function_name=g.__name__,
         chapman_kolmogorov_max_error=chapman_kolmogorov_max_error,

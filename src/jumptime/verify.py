@@ -46,7 +46,7 @@ import math
 import threading
 from dataclasses import dataclass
 
-from .core import draw_exponentials, np
+from .core import _as_integer, _check_seed, draw_exponentials, np
 from .processes import InfiniteSampleError, JumpModel
 
 __all__ = [
@@ -81,9 +81,18 @@ def exp1_cdf(x, out=None):
 _Z_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
+def _check_n(n: int) -> int:
+    """n as an int; refuses a replication count that is not an integer of at least 1."""
+    n = _as_integer(n, "n")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    return n
+
+
 def _exponential_draws(seed: int, n: int) -> np.ndarray:
-    """n Exp(1) draws, replication k from stream_id k; read-only and cached."""
-    key = (int(seed), int(n))
+    """n Exp(1) draws, replication k from stream_id k; read-only, cached on the checked ints."""
+    n = _check_n(n)
+    key = (_check_seed(seed), n)
     hit = _Z_CACHE.get(key)
     if hit is not None:
         return hit
@@ -124,8 +133,6 @@ def _scratch(n: int) -> _Scratch:
 def sample_a_tau(model: JumpModel, n: int, seed: int) -> np.ndarray:
     """n independent draws of A(tau), one per stream_id, in stream order, as
     a fresh array."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
     return model.sample(_exponential_draws(seed, n))[1]
 
 
@@ -162,8 +169,7 @@ def _ks_distance(F: np.ndarray, steps: np.ndarray, work: np.ndarray) -> float:
 
 def dkw_bound(n: int, alpha: float) -> float:
     """Dvoretzky-Kiefer-Wolfowitz band half-width sqrt(ln(2/alpha) / (2n))."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _check_n(n)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
@@ -250,6 +256,7 @@ class ExpLawReport:
 
 def exp_law_verify(model: JumpModel, n: int, alpha: float, seed: int) -> ExpLawReport:
     """Sample A(tau) and test it against the unit exponential law."""
+    n = _check_n(n)
     bound = dkw_bound(n, alpha)
     a_sorted = sample_a_tau(model, n, seed)
     a_sorted.sort()
@@ -345,8 +352,7 @@ def martingale_residual(
     residual equals -A(t) and the sample spread is 0 or roundoff, so the
     standard error comes from the martingale's own variance E[A(t ^ tau)].
     """
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _check_n(n)
     grid = tuple(float(t) for t in time_grid)
     if not grid:
         raise ValueError("the time grid needs at least one time")

@@ -247,6 +247,16 @@ class TestRunExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {str(error) or 'out of memory'}\n"
 
+    @pytest.mark.parametrize("command", ["verify-exp-law", "verify-martingale"])
+    @pytest.mark.parametrize("n", [2**63 - 1, 2**64])
+    def test_an_n_numpy_cannot_size_is_three(self, capsys, command, n):
+        # Refused by arithmetic before any array is asked for.
+        assert main([command, "--model", "poisson", "--n", str(n)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: n = {n} draws take")
+        assert captured.err.count("\n") == 1
+
     def test_overflowing_jump_time_is_three(self):
         cmd = [sys.executable, "-m", "jumptime.cli", "cox-demo", "--model", "power",
                "--param", "exponent=0.001", "--n", "50"]

@@ -182,6 +182,12 @@ class TestVectorisedDraws:
         with pytest.raises(ValueError, match=message):
             exponential_blocks(0, n)
 
+    @pytest.mark.parametrize("n", [2**60, 2**63 - 1, 2**64])
+    def test_an_n_no_array_can_address_is_a_memory_error(self, n):
+        # Refused by arithmetic before numpy is asked, so nothing is allocated.
+        with pytest.raises(MemoryError, match=f"^n = {n} draws take"):
+            draw_exponentials(0, n)
+
     def test_blocks_split_the_array(self):
         n = 2 * _DRAW_BLOCK + 3
         blocks = list(exponential_blocks(9, n))

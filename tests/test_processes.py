@@ -327,17 +327,17 @@ class TestCatalog:
 
 
 
-def translation_invariant(f, t, u, j, model):
+def translation_invariant(S, f, u, v, j):
     """The deleted kernel: from any state the indicator may jump again, j to j + 1."""
-    p = model.tau_cdf(t)
+    p = -math.expm1(-S(v - u))
     return f(u, j) * (1.0 - p) + f(u, j + 1) * p
 
 
-def timeless_absorbing(f, t, u, j, model):
+def timeless_absorbing(S, f, u, v, j):
     """The two-state kernel that forgets time: a semigroup only when A is linear."""
     if j:
         return f(u, 1)
-    q = math.exp(-model.sampler.evaluate(t))
+    q = math.exp(-S(v - u))
     return q * f(u, 0) + (1.0 - q) * f(u, 1)
 
 
@@ -486,16 +486,29 @@ class TestFellerCheck:
 
     @pytest.mark.parametrize("model", BUILT_MODELS, ids=lambda m: m.name)
     def test_the_translation_invariant_kernel_fails(self, model, monkeypatch):
-        monkeypatch.setattr(processes, "semigroup_apply", translation_invariant)
+        monkeypatch.setattr(processes, "_kernel", translation_invariant)
         reports = [feller_check(model, g) for g in C0_WITNESSES]
         assert not all(r.passed for r in reports)
         assert max(r.chapman_kolmogorov_max_error for r in reports) > 0.01
 
     @pytest.mark.parametrize("name", ["power", "flat"])
     def test_the_timeless_absorbing_kernel_fails_where_a_is_not_linear(self, name, monkeypatch):
-        monkeypatch.setattr(processes, "semigroup_apply", timeless_absorbing)
+        monkeypatch.setattr(processes, "_kernel", timeless_absorbing)
         for g in C0_WITNESSES:
             assert not feller_check(build_model(name), g).passed
+
+    @pytest.mark.parametrize("model", catalog_models(), ids=lambda m: m.name)
+    def test_e_sequence_is_read_through_semigroup_apply(self, model):
+        # feller_check reads the kernel directly; each maximum must be the
+        # one the public semigroup gives on the same grid, bit for bit.
+        states = [(u, j) for u in processes._U_GRID for j in (0, 1)]
+        for g in C0_WITNESSES:
+            f = witness(g)
+            expected = tuple(
+                max(abs(semigroup_apply(f, t, u, j, model) - f(u, j)) for u, j in states)
+                for t in DEFAULT_T_SCHEDULE
+            )
+            assert feller_check(model, g).e_sequence == expected
 
     def test_default_schedule(self):
         assert DEFAULT_T_SCHEDULE[0] == 1.0

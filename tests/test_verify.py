@@ -99,6 +99,58 @@ class TestDkwBound:
             dkw_bound(0, 0.05)
 
 
+#: Each verifier that takes a replication count, called with a count n.
+COUNTED = {
+    "sample_a_tau": lambda n: sample_a_tau(poisson_model(1.0), n, seed=1),
+    "martingale_residual": lambda n: martingale_residual(poisson_model(1.0), n, [1.0], seed=1),
+    "dkw_bound": lambda n: dkw_bound(n, 0.01),
+}
+
+
+class TestReplicationCount:
+    @pytest.mark.parametrize("name", COUNTED)
+    @pytest.mark.parametrize(
+        "n, message",
+        [(1.5, "^n must be an integer, got 1.5$"), ("3", "^n must be an integer, got '3'$"),
+         (0, "^n must be at least 1, got 0$")],
+    )
+    def test_one_rule_for_every_count(self, name, n, message):
+        _Z_CACHE.clear()
+        sample_a_tau(poisson_model(1.0), 3, seed=1)  # a warm (1, 3) entry must not answer
+        with pytest.raises(ValueError, match=message):
+            COUNTED[name](n)
+
+    def test_a_numpy_count_is_reported_as_an_int(self):
+        m = poisson_model(1.0)
+        for report in (exp_law_verify(m, np.int64(100), 0.01, 1),
+                       martingale_residual(m, np.int64(100), [1.0], 1)):
+            assert type(report.n) is int
+            assert json.loads(report.to_json())["n"] == 100
+
+    def test_a_warm_cache_refuses_what_a_cold_one_refuses(self):
+        m = poisson_model(1.0)
+        calls = [
+            lambda: sample_a_tau(m, 10, 1.5),
+            lambda: martingale_residual(m, 10, (1.0,), 1.5),
+            lambda: sample_a_tau(m, 10.5, 1),
+            lambda: exp_law_verify(m, 10.7, 0.01, 1),
+        ]
+        messages = []
+        for call in calls:
+            _Z_CACHE.clear()
+            with pytest.raises(ValueError) as cold:
+                call()
+            messages.append(str(cold.value))
+        seed_message, n_message = "seed must be an integer, got 1.5", "n must be an integer, got"
+        assert messages == [seed_message, seed_message, f"{n_message} 10.5", f"{n_message} 10.7"]
+        sample_a_tau(m, 10, 1)
+        for call, message in zip(calls, messages):
+            with pytest.raises(ValueError) as warm:
+                call()
+            assert str(warm.value) == message
+        assert list(_Z_CACHE) == [(1, 10)]
+
+
 class TestOdeIdentity:
     def test_zero_time_contributes_zero(self):
         assert ode_identity_check([1.0, 2.0], [0.0]) == 0.0
