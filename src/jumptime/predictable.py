@@ -97,15 +97,16 @@ def extract_strict_subsequence(seq: AnnouncingSequence) -> AnnouncingSequence:
 
     The result is strictly increasing, idempotent under repetition, and ends
     at the same maximum, so it announces the same target just as closely.
+    A strictly increasing input is frozen and already valid, so it comes
+    back itself.
     """
     times = seq.times
     if all(map(operator.lt, times, times[1:])):
-        kept = times
-    else:
-        kept = []
-        for t in times:
-            if not kept or t > kept[-1]:
-                kept.append(t)
+        return seq
+    kept: list[float] = []
+    for t in times:
+        if not kept or t > kept[-1]:
+            kept.append(t)
     return AnnouncingSequence(tuple(kept), seq.target)
 
 

@@ -8,10 +8,11 @@ negative control gives a sampler other than the compensator it claims.
 read, refusing an infinite tau with ``InfiniteSampleError``.  It maps the
 draws a block at a time, into the caller's arrays or fresh ones, so that no
 map makes a full-length temporary, and raises the error one whole-array map
-would raise first.  The catalog is one table from each name to a factory,
-whose keyword defaults are the CLI's.  It covers homogeneous and
-inhomogeneous arrival times, a Markov holding time, a synthetic model whose
-compensator has a flat piece, and the unlisted negative control.
+would raise first; given one array twice, it writes A(tau) over tau.  The
+catalog is one table from each name to a factory, whose keyword defaults are
+the CLI's.  It covers homogeneous and inhomogeneous arrival times, a Markov
+holding time, a synthetic model whose compensator has a flat piece, and the
+unlisted negative control.
 
 tau is the jump time of the space-time indicator (u, J_u), J_u = 1_{u >= tau},
 a Feller process.  Its one kernel, read off ``S.evaluate`` at float times, is
@@ -102,6 +103,12 @@ class JumpModel:
         every block is inverted, then tau < inf is checked, then every block
         is evaluated.  Both maps are elementwise, so every value and every
         error is the one the whole-array maps give.
+
+        ``out`` may name the same array twice: each block's A(tau) is then
+        written over the taus it was computed from, and both returned entries
+        are that array, holding A(tau) with the same bits and errors, since
+        every tau is checked before any is evaluated and ``evaluate_many``
+        never writes into its argument.
         """
         zs = _check_nonnegative(zs)
         taus, a_taus = (np.empty(len(zs)), np.empty(len(zs))) if out is None else out

@@ -6,7 +6,10 @@ compares the empirical CDF against 1 - e^{-t} with the exact one-sample
 Kolmogorov-Smirnov statistic inside the finite-sample DKW band, checks the
 integral identity F(t) = t - 1 + e^{-t} satisfied by F(t) = int_0^t P(Z <= s) ds,
 screens for atoms, and separately checks the zero-mean martingale residual
-1_{t >= tau} - A(t ^ tau).
+1_{t >= tau} - A(t ^ tau).  An alpha whose 2 / alpha overflows a float is
+refused, since its band would be infinite and pass any model, and one rule
+refuses a time grid that is empty or holds a time that is not finite and
+nonnegative, for the integral identity and the martingale check alike.
 
 Each statistic is computed once.  The exponential-law check sorts its samples
 once and reads the KS statistic, the ECDF grid, the largest atom (the longest
@@ -29,8 +32,10 @@ so a run of verifications allocates its work arrays once rather than once
 per call: the martingale check's sample lands there, 1 - A(tau) is written
 over A(tau), the residual and its squared deviations are built in two
 buffers, and KS's step array i / n is kept.  The exponential-law check sorts
-a fresh A(tau).  The scratch is made only after the draws, so an n too large
-to draw fails first, and no array a caller receives is ever scratch.
+a fresh A(tau): ``sample_a_tau`` makes one n-length array, and A(tau) is
+written over tau in it.  The scratch is made only after the draws, so an n
+too large to draw fails first, and no array a caller receives is ever
+scratch.
 
 Replication k always uses the random stream with stream_id = k, and results
 are assembled in stream order, so reports are bitwise reproducible.  The n
@@ -132,8 +137,11 @@ def _scratch(n: int) -> _Scratch:
 
 def sample_a_tau(model: JumpModel, n: int, seed: int) -> np.ndarray:
     """n independent draws of A(tau), one per stream_id, in stream order, as
-    a fresh array."""
-    return model.sample(_exponential_draws(seed, n))[1]
+    a fresh array, the only n-length one the call makes: A(tau) is written
+    over tau in it, with ``sample``'s bits and errors."""
+    zs = _exponential_draws(seed, n)
+    a = np.empty(len(zs))
+    return model.sample(zs, out=(a, a))[1]
 
 
 def ks_statistic(samples, reference_cdf) -> float:
@@ -168,11 +176,29 @@ def _ks_distance(F: np.ndarray, steps: np.ndarray, work: np.ndarray) -> float:
 
 
 def dkw_bound(n: int, alpha: float) -> float:
-    """Dvoretzky-Kiefer-Wolfowitz band half-width sqrt(ln(2/alpha) / (2n))."""
+    """Dvoretzky-Kiefer-Wolfowitz band half-width sqrt(ln(2/alpha) / (2n)).
+
+    alpha lies in (0, 1), and below about 1.1e-308, where 2 / alpha
+    overflows, it is refused: the band would be infinite and pass any model.
+    """
     n = _check_n(n)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+    ratio = 2.0 / alpha
+    if math.isinf(ratio):
+        raise ValueError(f"alpha {alpha} is too small: 2 / alpha overflows a float")
+    return math.sqrt(math.log(ratio) / (2.0 * n))
+
+
+def _time_grid(grid) -> tuple[float, ...]:
+    """The grid times as floats, in the order given; refuses an empty grid
+    and a time that is not finite and nonnegative."""
+    ts = tuple(map(float, grid))
+    if not ts:
+        raise ValueError("the time grid needs at least one time")
+    if not all(0.0 <= t < math.inf for t in ts):
+        raise ValueError("grid times must be finite and nonnegative")
+    return ts
 
 
 def ode_identity_check(samples, grid) -> float:
@@ -180,7 +206,7 @@ def ode_identity_check(samples, grid) -> float:
 
     For nonnegative samples the integral is exactly (1/n) sum_i max(0, t - x_i),
     k * t minus the sum of the k sorted samples at or below t: no mesh error.
-    A negative or NaN sample is refused.
+    A negative or NaN sample is refused first, then a grid ``_time_grid`` refuses.
     """
     xs = np.sort(np.asarray(samples, float))
     if len(xs) and (xs[0] < 0.0 or math.isnan(xs[-1])):  # numpy sorts NaN last
@@ -193,14 +219,12 @@ def _ode_identity_sorted(xs: np.ndarray, grid) -> float:
     n = len(xs)
     if n == 0:
         raise ValueError("ode_identity_check needs at least one sample")
-    ts = np.asarray(grid, float)
-    if not np.all((ts >= 0.0) & (ts < math.inf)):
-        raise ValueError("grid times must be finite and nonnegative")
+    ts = np.array(_time_grid(grid))
     ks = np.searchsorted(xs, ts, side="right")
     below = np.array([xs[:k].sum() for k in ks])
     estimate = (ks * ts - below) / n
     reference = ts + np.expm1(-ts)
-    return float(np.max(np.abs(estimate - reference), initial=0.0))
+    return float(np.abs(estimate - reference).max())
 
 
 def _longest_run(xs: np.ndarray) -> int:
@@ -353,11 +377,7 @@ def martingale_residual(
     standard error comes from the martingale's own variance E[A(t ^ tau)].
     """
     n = _check_n(n)
-    grid = tuple(float(t) for t in time_grid)
-    if not grid:
-        raise ValueError("the time grid needs at least one time")
-    if any(not math.isfinite(t) or t < 0.0 for t in grid):
-        raise ValueError("grid times must be finite and nonnegative")
+    grid = _time_grid(time_grid)
     zs = _exponential_draws(seed, n)
     held = _scratch(n)
     taus, one_minus = model.sample(zs, out=(held.taus, held.a))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -206,6 +207,21 @@ class TestRunExitCodes:
         code = main(["verify-exp-law", "--model", "negative-control", "--n", "3000"])
         assert code == 1
         assert json.loads(capsys.readouterr().out)["passed"] is False
+
+    def test_an_alpha_whose_band_overflows_is_two(self, capsys):
+        # 2 / alpha is finite at the smallest alpha and inf one float below;
+        # the band there, sqrt(709.8 / 2n), still fails the control at n = 20000.
+        smallest = 1.112536929253601e-308
+        argv = ["verify-exp-law", "--model", "negative-control", "--n", "20000"]
+        assert main(argv + ["--alpha", repr(smallest)]) == 1
+        report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert report["dkw_bound"] > 0.0 and report["passed"] is False
+        for alpha in (repr(math.nextafter(smallest, 0.0)), "1e-320"):
+            assert main(argv + ["--alpha", alpha, "--format", "csv"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            message = f"alpha {float(alpha)} is too small: 2 / alpha overflows a float"
+            assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("time", ["-1", "nan", "inf"])
     def test_a_grid_time_refused_at_run_time_is_two(self, capsys, time):

@@ -90,6 +90,16 @@ class TestStrictSubsequence:
         seq = AnnouncingSequence((1.0, 2.0, 3.0), 4.0)
         assert extract_strict_subsequence(seq).times == (1.0, 2.0, 3.0)
 
+    def test_a_strict_input_comes_back_itself(self):
+        strict = make_announcing_sequence(1.0, 1000, "harmonic")
+        assert extract_strict_subsequence(strict) is strict
+        for seq in (AnnouncingSequence((), 0.0), AnnouncingSequence((0.5,), 1.0)):
+            assert extract_strict_subsequence(seq) is seq
+        # A sequence with a repeat is rebuilt without it, as a new sequence.
+        repeated = AnnouncingSequence((0.0, 0.0), 0.0)
+        out = extract_strict_subsequence(repeated)
+        assert out is not repeated and out == AnnouncingSequence((0.0,), 0.0)
+
     def test_hand_recursion(self):
         seq = AnnouncingSequence((0.5, 0.5, 0.5, 0.9, 0.99), 1.0)
         assert extract_strict_subsequence(seq).times == (0.5, 0.9, 0.99)

@@ -179,6 +179,20 @@ def outcome(sample, model, zs):
         return type(exc), str(exc).split(";")[0]
 
 
+def aliased(model, zs):
+    """``JumpModel.sample`` given one array twice: A(tau) written over tau,
+    returned as both entries."""
+    a = np.full(len(zs), np.nan)
+    taus, a_taus = model.sample(zs, out=(a, a))
+    assert taus is a_taus is a
+    return (a,)
+
+
+def a_tau_outcome(pair_outcome):
+    """The ``outcome`` of the pair cut to A(tau)'s bits; an error stays as it is."""
+    return pair_outcome[1:] if isinstance(pair_outcome, list) else pair_outcome
+
+
 def table_model(knots: int) -> JumpModel:
     """A tabulated model with flats, as many knots as given, slope 1 past the last."""
     rng = np.random.default_rng(knots)
@@ -194,6 +208,8 @@ SAMPLED_MODELS = (
     build_model("power", {"exponent": 2.0}),
     flat_compensator_model(),
     negative_control_model(),
+    # Every Exp(1) draw here lies below the limit, so every tau is finite.
+    JumpModel("saturating", SaturatingExpCompensator(limit=20.0, rate=0.5)),
     table_model(1000),
 )
 
@@ -215,6 +231,7 @@ class TestSample:
             out = (np.full(n, np.nan), np.full(n, np.nan))
             assert model.sample(zs, out=out)[0] is out[0]
             assert [a.view(np.uint64).tolist() for a in out] == want, n
+            assert outcome(aliased, model, zs) == a_tau_outcome(want), n
 
     def test_errors_name_the_first_level_or_time_of_the_whole_array(self):
         zs = draw_exponentials(4, 40_000)
@@ -250,6 +267,7 @@ class TestSample:
             got = outcome(JumpModel.sample, model, draws)
             assert got == outcome(one_shot, model, draws), model.name
             assert got[0] is error and names in got[1], (model.name, got)
+            assert outcome(aliased, model, draws) == a_tau_outcome(got), model.name
 
     @given(
         st.sampled_from(SAMPLED_MODELS[:-1]),
@@ -260,7 +278,10 @@ class TestSample:
         zs = np.array(zs, float)
         with mock.patch.object(core, "_DRAW_BLOCK", block):
             got = outcome(JumpModel.sample, model, zs)
-        assert got == outcome(one_shot, model, zs)
+            got_aliased = outcome(aliased, model, zs)
+        want = outcome(one_shot, model, zs)
+        assert got == want
+        assert got_aliased == a_tau_outcome(want)
 
 
 class TestCatalog:

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -83,6 +84,11 @@ class TestKsStatistic:
             ks_statistic(samples, cdf)
 
 
+#: The smallest alpha whose 2 / alpha is finite, and the float just below it.
+SMALLEST_ALPHA = 1.112536929253601e-308
+TOO_SMALL_ALPHA = math.nextafter(SMALLEST_ALPHA, 0.0)
+
+
 class TestDkwBound:
     def test_oracles(self):
         assert dkw_bound(100_000, 0.01) == pytest.approx(0.005147, abs=5e-7)
@@ -97,6 +103,31 @@ class TestDkwBound:
                 dkw_bound(100, alpha)
         with pytest.raises(ValueError):
             dkw_bound(0, 0.05)
+
+    def test_an_alpha_whose_band_overflows_is_refused(self):
+        # 2 / alpha is finite down to SMALLEST_ALPHA and inf one float below,
+        # where the band would be infinite and pass any model.
+        assert math.isfinite(2.0 / SMALLEST_ALPHA)
+        assert math.isinf(2.0 / TOO_SMALL_ALPHA)
+        assert dkw_bound(1000, SMALLEST_ALPHA) == math.sqrt(
+            math.log(2.0 / SMALLEST_ALPHA) / 2000.0
+        )
+        for alpha in (TOO_SMALL_ALPHA, 1e-320, 5e-324):
+            with pytest.raises(ValueError, match=f"^alpha {alpha} is too small"):
+                dkw_bound(1000, alpha)
+
+    def test_exp_law_verify_refuses_a_tiny_alpha_before_it_draws(self, monkeypatch):
+        # Its band is wide, sqrt(709.8 / 2n), but at n = 20000 still fails the control.
+        report = exp_law_verify(negative_control_model(), 20_000, SMALLEST_ALPHA, seed=2)
+        assert math.isfinite(report.dkw_bound) and not report.passed
+        json.loads(report.to_json(), parse_constant=pytest.fail)
+
+        def no_draws(seed, n):
+            raise AssertionError("drew before checking alpha")
+
+        monkeypatch.setattr(verify_module, "_exponential_draws", no_draws)
+        with pytest.raises(ValueError, match=f"^alpha {TOO_SMALL_ALPHA} is too small"):
+            exp_law_verify(negative_control_model(), 1000, TOO_SMALL_ALPHA, seed=2)
 
 
 #: Each verifier that takes a replication count, called with a count n.
@@ -175,6 +206,11 @@ class TestOdeIdentity:
             ode_identity_check([1.0], [1.0, math.nan])
         with pytest.raises(ValueError, match="^grid times must be finite and nonnegative$"):
             ode_identity_check([0.5, 1.0, 2.0], [math.inf])
+        # An empty grid has no error to report, so it is refused, as by the martingale check.
+        with pytest.raises(ValueError, match="^the time grid needs at least one time$"):
+            ode_identity_check([1.0, 2.0], [])
+        with pytest.raises(ValueError, match="needs at least one sample"):
+            ode_identity_check([], [])
         # The closed form k * t - sum(x) assumes x >= 0, and a NaN would count
         # as lying above every t.
         for samples in ([-1.0], [0.5, -0.0, -1e-300], [math.nan, 1.0], [math.nan]):
@@ -246,6 +282,22 @@ class TestSampleATau:
         martingale_residual(power, 5000, default_time_grid(), seed=4)
         assert sample_a_tau(power, 5000, seed=4) is not sample_a_tau(power, 5000, seed=4)
         np.testing.assert_array_equal(a.view(np.uint64), kept.view(np.uint64))
+
+    def test_one_n_length_array_per_call(self):
+        # With the draws warm, a call holds its result and block-sized
+        # temporaries: A(tau) is written over tau rather than beside it.
+        n, seed = 100_000, 11
+        model = poisson_model(1.0)
+        _exponential_draws(seed, n)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            a = sample_a_tau(model, n, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.shape == (n,)
+        assert peak - start < 1.5 * 8 * n, (peak - start) / (8 * n)
 
 
 def fresh_reports(model, n, seed):
