@@ -4,11 +4,17 @@ A compensator can be evaluated and inverted through the generalized inverse
 ``A^{-1}(s) = inf{t >= 0 : A(t) >= s}`` (the left edge of any flat piece;
 infinity when the level is never reached).
 
-Each class states its math once, as three scalar methods: ``_evaluate_finite``
-(A at a finite time), ``_inverse_finite`` (tau as a float, inf when the level
-is never reached or tau is past the float range) and ``_overflow`` (the error
-that names the level and the parameters).  ``Compensator`` builds the rest:
+Each class is a frozen dataclass whose fields are its parameters, and states
+its math once: two scalar methods, ``_evaluate_finite`` (A at a finite time)
+and ``_inverse_finite`` (tau as a float, inf when the level is never reached
+or tau is past the float range), and ``_inverse_text``, the inverse formula
+that the overflow error shows, such as ``"level {s} / rate {rate}"``.
+``Compensator`` builds the rest:
 
+- ``__post_init__`` checks every field with the one parameter rule,
+  ``_check_parameter`` (Tabulated keeps its own knot and slope rules);
+  ``range_sup`` is inf unless a bounded class overrides it; and
+  ``_overflow`` is the error that names the level and the parameters.
 - ``evaluate`` and ``inverse`` check their argument.  ``inverse`` holds the
   overflow rule: a level below ``range_sup`` is reached at a finite time, so
   an infinite tau there overflowed and raises ``_overflow``; any other
@@ -49,7 +55,7 @@ import csv
 import math
 import numbers
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .core import INFINITY, TimeLike, TimePoint, as_timepoint, np
@@ -74,8 +80,18 @@ def _value_overflow(t: float) -> OverflowError:
 class Compensator(abc.ABC):
     """Shared contract: A(0) = 0, nondecreasing, continuous."""
 
-    #: Supremum of A over [0, infinity); math.inf when unbounded.
-    range_sup: float
+    #: Supremum of A over [0, infinity); a bounded class overrides it.
+    range_sup: float = math.inf
+
+    #: The inverse formula that ``_overflow`` names, formatted with the level
+    #: as ``s`` and each dataclass field by its name.
+    _inverse_text: str
+
+    def __post_init__(self):
+        """Every dataclass field is a parameter that ``_check_parameter`` admits."""
+        for field in fields(self):
+            value = _check_parameter(getattr(self, field.name), field.name)
+            object.__setattr__(self, field.name, value)
 
     @abc.abstractmethod
     def _evaluate_finite(self, t: float) -> float:
@@ -86,9 +102,11 @@ class Compensator(abc.ABC):
     def _inverse_finite(self, s: float) -> float:
         """tau at a checked level: inf when s is never reached or tau overflows."""
 
-    @abc.abstractmethod
     def _overflow(self, s: float) -> OverflowError:
         """The error for a level whose tau is finite but past the float range."""
+        params = {field.name: getattr(self, field.name) for field in fields(self)}
+        inverse = self._inverse_text.format(s=s, **params)
+        return OverflowError(f"jump time overflows a float: {inverse}")
 
     def evaluate(self, t: TimeLike) -> float:
         """A(t); A(infinity) is range_sup and requires it to be finite."""
@@ -209,19 +227,13 @@ class LinearCompensator(Compensator):
 
     rate: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "rate", _check_parameter(self.rate, "rate"))
-
-    range_sup = math.inf
+    _inverse_text = "level {s} / rate {rate}"
 
     def _evaluate_finite(self, t: float) -> float:
         return self.rate * t
 
     def _inverse_finite(self, s: float) -> float:
         return s / self.rate
-
-    def _overflow(self, s: float) -> OverflowError:
-        return OverflowError(f"jump time overflows a float: level {s} / rate {self.rate}")
 
     def evaluate_exact(self, ts):
         ts = self._check_times(ts)
@@ -239,10 +251,7 @@ class PowerCompensator(Compensator):
 
     exponent: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", _check_parameter(self.exponent, "exponent"))
-
-    range_sup = math.inf
+    _inverse_text = "level {s} ** (1 / exponent {exponent:g})"
 
     def _evaluate_finite(self, t: float) -> float:
         try:
@@ -255,11 +264,6 @@ class PowerCompensator(Compensator):
             return s ** (1.0 / self.exponent)
         except OverflowError:
             return math.inf
-
-    def _overflow(self, s: float) -> OverflowError:
-        return OverflowError(
-            f"jump time overflows a float: level {s} ** (1 / exponent {self.exponent:g})"
-        )
 
     # numpy's pow differs from libm's in the last bit (on about 80 of 1e5
     # draws at exponent 2, inverse and evaluate alike), so only the
@@ -283,9 +287,7 @@ class SaturatingExpCompensator(Compensator):
     limit: float = 1.0
     rate: float = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "limit", _check_parameter(self.limit, "limit"))
-        object.__setattr__(self, "rate", _check_parameter(self.rate, "rate"))
+    _inverse_text = "-log1p(-level {s} / limit {limit}) / rate {rate}"
 
     @property
     def range_sup(self) -> float:
@@ -299,12 +301,6 @@ class SaturatingExpCompensator(Compensator):
             # The supremum is approached but never attained.
             return math.inf
         return -math.log1p(-s / self.limit) / self.rate
-
-    def _overflow(self, s: float) -> OverflowError:
-        return OverflowError(
-            f"jump time overflows a float: -log1p(-level {s} / limit {self.limit}) "
-            f"/ rate {self.rate}"
-        )
 
 
 def _lerp(x: float, x0: float, x1: float, y0: float, y1: float) -> float:
@@ -418,6 +414,8 @@ class TabulatedCompensator(Compensator):
     values: tuple[float, ...]
     extrapolation_slope: float = 0.0
 
+    _inverse_text = "level {s} / extrapolation slope {extrapolation_slope}"
+
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
         values = tuple(float(v) for v in self.values)
@@ -460,12 +458,6 @@ class TabulatedCompensator(Compensator):
             return self.times[j]
         values, times = self.values, self.times
         return _lerp(s, values[j - 1], values[j], times[j - 1], times[j])
-
-    def _overflow(self, s: float) -> OverflowError:
-        return OverflowError(
-            f"jump time overflows a float: level {s} / extrapolation slope "
-            f"{self.extrapolation_slope}"
-        )
 
     @cached_property
     def _knots(self) -> tuple[np.ndarray, np.ndarray]:

@@ -309,11 +309,11 @@ def tent(y: float) -> float:
     return max(0.0, 1.0 - abs(y))
 
 
-#: Continuous functions vanishing at infinity; a finite witness set for C0.
-C0_WITNESSES: tuple[Callable[[float], float], ...] = (gauss_bump, inverse_quad, tent)
-
-#: Each witness's Lipschitz constant, sup |g'|.
+#: Each witness, in ``C0_WITNESSES``'s order, with its Lipschitz constant sup |g'|.
 _LIPSCHITZ = {gauss_bump: math.sqrt(2 / math.e), inverse_quad: 9 / (8 * math.sqrt(3)), tent: 1.0}
+
+#: Continuous functions vanishing at infinity; a finite witness set for C0.
+C0_WITNESSES: tuple[Callable[[float], float], ...] = tuple(_LIPSCHITZ)
 
 DEFAULT_T_SCHEDULE: tuple[float, ...] = tuple(2.0**-k for k in range(21))
 

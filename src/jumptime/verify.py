@@ -33,9 +33,11 @@ per call: the martingale check's sample lands there, 1 - A(tau) is written
 over A(tau), the residual and its squared deviations are built in two
 buffers, and KS's step array i / n is kept.  The exponential-law check sorts
 a fresh A(tau): ``sample_a_tau`` makes one n-length array, and A(tau) is
-written over tau in it.  The scratch is made only after the draws, so an n
-too large to draw fails first, and no array a caller receives is ever
-scratch.
+written over tau in it.  Once the ECDF grid, the atom scan and the integral
+identity have read that sorted sample, its reference CDF is written over it,
+so the check takes only the step array and one buffer from the scratch.  The
+scratch is made only after the draws, so an n too large to draw fails first,
+and no array a caller receives is ever scratch.
 
 Replication k always uses the random stream with stream_id = k, and results
 are assembled in stream order, so reports are bitwise reproducible.  The n
@@ -284,9 +286,6 @@ def exp_law_verify(model: JumpModel, n: int, alpha: float, seed: int) -> ExpLawR
     bound = dkw_bound(n, alpha)
     a_sorted = sample_a_tau(model, n, seed)
     a_sorted.sort()
-    held = _scratch(n)
-    # The reference CDF goes in the scratch tau array, which this check leaves unused.
-    ks = _ks_distance(exp1_cdf(a_sorted, out=held.taus), held.steps, held.spare)
 
     levels = (np.arange(1, 51) - 0.5) / 50.0
     ts = -np.log1p(-levels)
@@ -296,6 +295,9 @@ def exp_law_verify(model: JumpModel, n: int, alpha: float, seed: int) -> ExpLawR
 
     max_atom = _longest_run(a_sorted) / n
     ode_err = _ode_identity_sorted(a_sorted, (0.5, 1.0, 2.0))
+    # Nothing reads the sample after this: its reference CDF is written over it.
+    held = _scratch(n)
+    ks = _ks_distance(exp1_cdf(a_sorted, out=a_sorted), held.steps, held.spare)
 
     return ExpLawReport(
         model_name=model.name,

@@ -1,7 +1,9 @@
 """Compensator forms, generalized inverses, their array twins, and the CSV loader."""
 
+import gc
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 import warnings
 
@@ -123,6 +125,39 @@ SATURATING_EXAMPLES = [
 
 def bits(xs) -> np.ndarray:
     return np.asarray(xs, float).view(np.uint64)
+
+
+def test_a_subclass_gets_the_parameter_rule_the_range_and_the_overflow_error():
+    @dataclass(frozen=True)
+    class ScaledCompensator(Compensator):
+        """A(t) = t / width: it states only its field, its math and its inverse."""
+
+        width: float
+
+        _inverse_text = "level {s} * width {width}"
+
+        def _evaluate_finite(self, t: float) -> float:
+            return t / self.width
+
+        def _inverse_finite(self, s: float) -> float:
+            return s * self.width
+
+    try:
+        for width in (0.0, -1.0, math.inf, True, "1"):
+            with pytest.raises(ValueError, match="^width "):
+                ScaledCompensator(width)
+        A = ScaledCompensator(1e300)
+        assert A.range_sup == math.inf
+        with pytest.raises(
+            OverflowError, match=r"^jump time overflows a float: level 1e\+20 \* width 1e\+300$"
+        ):
+            A.inverse(1e20)
+    finally:
+        # TestVectorPaths probes every class in Compensator.__subclasses__(),
+        # so this one must not outlive the test.
+        del ScaledCompensator
+        A = None
+        gc.collect()
 
 
 class TestLinear:
