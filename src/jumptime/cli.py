@@ -46,7 +46,6 @@ from .predictable import (
     GEOMETRIC,
     HARMONIC,
     build_y_process,
-    extract_strict_subsequence,
     make_announcing_sequence,
     y_hitting_time,
 )
@@ -288,7 +287,7 @@ def _feller(args: argparse.Namespace) -> _Report:
 
 
 def _predictable_demo(args: argparse.Namespace) -> _Report:
-    y = build_y_process(extract_strict_subsequence(args.sequence))
+    y = build_y_process(args.sequence)
     hit = y_hitting_time(y)
     max_knot_error = max(abs(level - 1.0 / i) for i, level in enumerate(y.knot_levels, 1))
     summary = {

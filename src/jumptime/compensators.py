@@ -58,7 +58,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .core import INFINITY, TimeLike, TimePoint, as_timepoint, np
+from .core import INFINITY, TimeLike, TimePoint, _as_float, _as_floats, as_timepoint, np
 
 __all__ = [
     "Compensator",
@@ -192,7 +192,7 @@ class Compensator(abc.ABC):
 
 
 def _check_level(s: float) -> float:
-    s = float(s)
+    s = _as_float(s, "level")
     if math.isnan(s) or s < 0.0:
         raise ValueError(f"level must be a nonnegative real, got {s}")
     return s
@@ -204,10 +204,7 @@ def _check_parameter(value, name: str) -> float:
     numbers.  The message shows the float, so a huge int is never printed."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:  # an int or fraction past the float range
-        x = math.inf if value > 0 else -math.inf
+    x = _as_float(value)
     if not 0.0 < x < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {x}")
     return x
@@ -317,6 +314,15 @@ def _lerp(x: float, x0: float, x1: float, y0: float, y1: float) -> float:
     return y0 + step / (x1 - x0)
 
 
+def _segment(x: float, xs: tuple[float, ...], ys: tuple[float, ...]) -> float:
+    """The path through the knots (xs, ys) at x, for xs[0] <= x < xs[-1]: the
+    knot value where x is a knot, else ``_lerp`` on the segment holding x."""
+    i = bisect_right(xs, x) - 1
+    if x == xs[i]:
+        return ys[i]
+    return _lerp(x, xs[i], xs[i + 1], ys[i], ys[i + 1])
+
+
 def _lerp_many(x, x0, x1, y0, y1) -> np.ndarray:
     """Array twin of ``_lerp``; a zero-width segment gives nan or inf, for the caller to mend."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -417,8 +423,8 @@ class TabulatedCompensator(Compensator):
     _inverse_text = "level {s} / extrapolation slope {extrapolation_slope}"
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        values = tuple(float(v) for v in self.values)
+        times = _as_floats(self.times)
+        values = _as_floats(self.values)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if len(times) < 2:
@@ -428,7 +434,7 @@ class TabulatedCompensator(Compensator):
         bad = _first_bad_knot(times, values)
         if bad is not None:
             raise _KnotError(*bad)
-        slope = 0.0 if self.extrapolation_slope is None else float(self.extrapolation_slope)
+        slope = 0.0 if self.extrapolation_slope is None else _as_float(self.extrapolation_slope)
         if not (math.isfinite(slope) and slope >= 0.0):
             raise ValueError("extrapolation slope must be finite and nonnegative")
         object.__setattr__(self, "extrapolation_slope", slope)
@@ -440,14 +446,9 @@ class TabulatedCompensator(Compensator):
     def _evaluate_finite(self, t: float) -> float:
         if t >= self.times[-1]:
             return self.values[-1] + self.extrapolation_slope * (t - self.times[-1])
-        i = bisect_right(self.times, t) - 1
-        if t == self.times[i]:
-            return self.values[i]
-        return _lerp(t, self.times[i], self.times[i + 1], self.values[i], self.values[i + 1])
+        return _segment(t, self.times, self.values)
 
     def _inverse_finite(self, s: float) -> float:
-        if s == 0.0:
-            return 0.0
         if s > self.values[-1]:
             if self.extrapolation_slope > 0.0:
                 return self.times[-1] + (s - self.values[-1]) / self.extrapolation_slope

@@ -64,6 +64,30 @@ __all__ = [
 _MIN_UNIFORM = 2.0**-53
 
 
+def _as_float(value, name: str | None = None) -> float:
+    """float(value), with a number past the float range (a huge int or
+    fraction) taken as the infinity of its sign.  Where infinity is itself a
+    legal value, ``name`` is given and such a number is refused instead, with
+    a ValueError that names it: read as infinity, a finite number would give a
+    spurious infinite time.  No message prints the number."""
+    try:
+        return float(value)
+    except OverflowError:
+        if name is not None:
+            raise ValueError(f"{name} is past the float range") from None
+        return math.inf if value > 0 else -math.inf
+
+
+def _as_floats(values) -> tuple[float, ...]:
+    """``_as_float`` of each value, as a tuple, at C speed when none overflows."""
+    if iter(values) is values:  # an iterator is read once, so keep its items
+        values = tuple(values)
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        return tuple(map(_as_float, values))
+
+
 @total_ordering
 class TimePoint:
     """A nonnegative model time, or the distinguished value +infinity.
@@ -78,7 +102,7 @@ class TimePoint:
     __slots__ = ("_value",)
 
     def __init__(self, value: float):
-        v = float(value)
+        v = _as_float(value, "time")
         if math.isnan(v):
             raise ValueError("time must not be NaN")
         if v < 0.0:

@@ -32,6 +32,7 @@ from .core import (
     RngStream,
     TimeLike,
     TimePoint,
+    _as_float,
     _mulhi,
     as_timepoint,
     draw_exponential,
@@ -96,7 +97,7 @@ _RENDER_ROWS = 2048
 
 def cox_time(A: Compensator, z: float) -> TimePoint:
     """tau = inf{t >= 0 : A(t) >= z}; INFINITY when the level is never reached."""
-    z = float(z)
+    z = _as_float(z, "the exponential level")
     if math.isnan(z) or z <= 0.0:
         raise ValueError(f"the exponential level must be positive, got {z}")
     return A.inverse(z)

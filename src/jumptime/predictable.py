@@ -1,24 +1,26 @@
 """Announcing sequences and the decreasing Y process for predictable times.
 
 A predictable time tau is announced by stopping times tau_1 <= tau_2 <= ...
-that stay strictly below tau and converge to it.  From a strictly increasing
-announcing sequence one builds a continuous nonincreasing process Y with
-Y > 0 before tau and Y = 0 from tau on, so tau is exactly the first time Y
-hits zero.  Y is piecewise linear with value 1/i at the (i-1)-th announcing
-time; a finite sequence of m times is closed by one last linear segment from
-level 1/(m+1) down to zero at the target.  ``YProcess`` holds those knots
-itself and states every check on them, as a path and as a Y, in one place.
+that stay strictly below tau and converge to it.  From an announcing
+sequence, made strictly increasing by ``extract_strict_subsequence``, one
+builds a continuous nonincreasing process Y with Y > 0 before tau and Y = 0
+from tau on, so tau is exactly the first time Y hits zero.  Y is piecewise
+linear with value 1/i at the (i-1)-th announcing time; a finite sequence of
+m times is closed by one last linear segment from level 1/(m+1) down to zero
+at the target.  ``YProcess`` holds those knots itself and states every check
+on them, as a path and as a Y, in one place; between knots it takes the
+tabulated compensator's segment rule.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 
-from .core import TimeLike, TimePoint, as_timepoint
+from .compensators import _segment
+from .core import TimeLike, TimePoint, _as_float, _as_floats, as_timepoint
 
 __all__ = [
     "GEOMETRIC",
@@ -49,14 +51,14 @@ class AnnouncingSequence:
     target: float
 
     def __post_init__(self):
-        target = float(self.target)
+        target = _as_float(self.target)
         if math.isinf(target):
             raise ValueError("an infinite target has no finite announcing sequence")
         if math.isnan(target) or target < 0.0:
             raise ValueError(f"target must be a nonnegative real, got {target}")
         object.__setattr__(self, "target", target)
 
-        times = tuple(map(float, self.times))
+        times = _as_floats(self.times)
         object.__setattr__(self, "times", times)
         # Checked at C speed; the indexed loop only names the first bad time.
         if not (
@@ -125,8 +127,8 @@ class YProcess:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        times = tuple(map(float, self.times))
-        values = tuple(map(float, self.values))
+        times = _as_floats(self.times)
+        values = _as_floats(self.values)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         if not times:
@@ -162,13 +164,9 @@ class YProcess:
         tp = as_timepoint(t)
         if not tp.is_finite:
             raise ValueError("path evaluation requires a finite time")
-        tv = tp.value
-        i = bisect_right(self.times, tv) - 1
-        if i >= len(self.times) - 1:
+        if tp.value >= self.times[-1]:
             return self.values[-1]
-        t0, t1 = self.times[i], self.times[i + 1]
-        v0, v1 = self.values[i], self.values[i + 1]
-        return v0 + (tv - t0) * (v1 - v0) / (t1 - t0)
+        return _segment(tp.value, self.times, self.values)
 
     def left_limit(self, t: TimeLike) -> float:
         """Limit from the left at a finite time t > 0: the value, as Y is continuous."""
@@ -185,18 +183,13 @@ def build_y_process(seq: AnnouncingSequence) -> YProcess:
 
     Knots: (0, 1), (tau_1, 1/2), ..., (tau_m, 1/(m+1)), (target, 0); the last
     segment is the finite-truncation closure of the infinite construction.
-    Requires strictly increasing positive times (strictify first) below the
-    target.  A target of 0 yields the identically-zero process.
+    The tau_i are the times of ``extract_strict_subsequence(seq)``; the first
+    must be strictly positive.  A target of 0 yields the zero process.
     """
     if seq.target == 0.0:
         return YProcess((0.0,), (0.0,))
 
-    times = seq.times
-    if not all(map(operator.lt, times, times[1:])):
-        raise ValueError(
-            "announcing times must be strictly increasing; "
-            "apply extract_strict_subsequence first"
-        )
+    times = extract_strict_subsequence(seq).times
     if times[0] <= 0.0:
         raise ValueError("the first announcing time must be strictly positive")
 

@@ -53,7 +53,7 @@ import math
 import threading
 from dataclasses import dataclass
 
-from .core import _as_integer, _check_seed, draw_exponentials, np
+from .core import _as_floats, _as_integer, _check_seed, draw_exponentials, np
 from .processes import InfiniteSampleError, JumpModel
 
 __all__ = [
@@ -195,7 +195,7 @@ def dkw_bound(n: int, alpha: float) -> float:
 def _time_grid(grid) -> tuple[float, ...]:
     """The grid times as floats, in the order given; refuses an empty grid
     and a time that is not finite and nonnegative."""
-    ts = tuple(map(float, grid))
+    ts = _as_floats(grid)
     if not ts:
         raise ValueError("the time grid needs at least one time")
     if not all(0.0 <= t < math.inf for t in ts):

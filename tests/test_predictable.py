@@ -148,6 +148,11 @@ class TestYProcessPath:
         assert y(1.5) == 0.25
         assert y(3.0) == 0.0
 
+    def test_a_wide_segment_interpolates_where_its_product_overflows(self):
+        # (t - t0) * (v1 - v0) is -inf here; the fraction of the span comes first instead.
+        y = YProcess(times=(0.0, 1e300), values=(1e300, 0.0))
+        assert y(5e299) == 5e299
+
     def test_right_continuity_at_every_knot(self):
         # Y is continuous: its value matches from both sides of every knot.
         y = YProcess(times=(0.0, 1.0, 2.0, 4.0), values=(3.0, 2.0, 1.0, 0.0))
@@ -244,21 +249,21 @@ class TestBuildYProcess:
         seq = AnnouncingSequence((1.0, 1.5), 2.0)
         assert build_y_process(seq).target == TimePoint(2.0)
 
-    def test_rejects_non_strict_times(self):
+    @staticmethod
+    def assert_built_from_the_strict_subsequence(seq):
+        y, strict = build_y_process(seq), build_y_process(extract_strict_subsequence(seq))
+        assert (y.times, y.values) == (strict.times, strict.values)
+
+    def test_non_strict_times_are_strictified(self):
         seq = AnnouncingSequence((1.0, 1.0, 1.5), 2.0)
-        with pytest.raises(ValueError, match="strict"):
-            build_y_process(seq)
+        self.assert_built_from_the_strict_subsequence(seq)
+        assert build_y_process(seq).times == (0.0, 1.0, 1.5, 2.0)
 
     @pytest.mark.parametrize("index", [1, 2, 4])
-    def test_an_equal_step_anywhere_is_refused(self, index):
+    def test_an_equal_step_anywhere_is_strictified(self, index):
         times = [0.1, 0.2, 0.3, 0.4, 0.5]
         times[index] = times[index - 1]
-        message = (
-            "^announcing times must be strictly increasing; "
-            "apply extract_strict_subsequence first$"
-        )
-        with pytest.raises(ValueError, match=message):
-            build_y_process(AnnouncingSequence(tuple(times), 1.0))
+        self.assert_built_from_the_strict_subsequence(AnnouncingSequence(tuple(times), 1.0))
 
     def test_rejects_zero_first_time(self):
         seq = AnnouncingSequence((0.0, 1.0), 2.0)
