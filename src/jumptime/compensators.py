@@ -27,23 +27,25 @@ that the overflow error shows, such as ``"level {s} / rate {rate}"``.
   element, so they carry the scalar bits (inf for INFINITY and for overflow).
 - ``evaluate_many`` is ``evaluate_exact``, and ``inverse_many`` is
   ``inverse_exact`` plus ``inverse``'s refusal to overflow.
+- ``_evaluate_numpy`` and ``_inverse_numpy`` run the same two formulas on a
+  whole array in numpy, with the same checks and overflow rules.
 
-A class overrides an array method only where numpy may stand in.  Linear and
-tabulated use only correctly rounded ``+ - * /``, so numpy gives their
-``*_exact`` columns with the scalar bits.  A tabulated compensator builds its
-knot arrays once, on its first array call, so a command that maps nothing
-never loads numpy.  Its array forms interpolate every element on the segment
-a search finds, then mend the rare elements by index: a knot hit (the left
+A class binds an array method to one of those two where numpy gives its
+column.  Linear binds its ``*_exact``: ``*`` and ``/`` are correctly rounded,
+so numpy gives the scalar bits.  Power binds its ``*_many`` for the
+verifiers, whose report bytes depend on them: numpy's pow differs from libm's
+in the last bit, and an overflowed tau comes back as inf.  Saturating has no
+numpy twin, so every array form of it carries the scalar bits on every host.
+Tabulated has its own array algorithm, whose correctly rounded ``+ - * /``
+give the scalar bits too.  It builds its array state, the knot arrays and
+their segment searches, on its first array call, so a command that maps
+nothing never loads numpy.  It interpolates every element on the segment a
+search finds, then mends the rare elements by index: a knot hit (the left
 edge of a flat, for a level), a zero level, and a time or level at or past
-the last knot.  The segment search (``_KnotSearch``, built with the knot
-arrays) starts each key at its equal-width bucket's first knot and steps to
-``np.searchsorted``'s exact index, handing the few keys still unplaced to
-``np.searchsorted``, so unsorted keys cost a few array passes rather than a
-branchy binary search each.  Power keeps numpy
-``evaluate_many``/``inverse_many`` for the verifiers, whose report bytes
-depend on them: numpy's pow differs from libm's in the last bit, and an
-overflowed tau comes back as inf.  Saturating has no numpy twin, so every
-array form of it carries the scalar bits on every host.
+the last knot.  The search (``_KnotSearch``) starts each key at its
+equal-width bucket's first knot and steps to ``np.searchsorted``'s exact
+index, handing the few keys still unplaced to ``np.searchsorted``, so
+unsorted keys cost a few array passes rather than a branchy binary search.
 
 The module also provides a CSV loader for tabulated compensators.
 """
@@ -179,6 +181,17 @@ class Compensator(abc.ABC):
             raise _value_overflow(float(np.ravel(ts)[overflowed.argmax()]))
         return values
 
+    def _evaluate_numpy(self, ts) -> np.ndarray:
+        """``_evaluate_finite`` run by numpy on an array, under ``evaluate``'s rules."""
+        ts = self._check_times(ts)
+        with np.errstate(over="ignore"):
+            return self._finite_values(ts, self._evaluate_finite(ts))
+
+    def _inverse_numpy(self, ss) -> np.ndarray:
+        """``_inverse_finite`` run by numpy on an array of checked levels (inf on overflow)."""
+        with np.errstate(over="ignore"):
+            return self._inverse_finite(_check_nonnegative(ss))
+
     def __call__(self, t: TimeLike) -> float:
         return self.evaluate(t)
 
@@ -232,14 +245,9 @@ class LinearCompensator(Compensator):
     def _inverse_finite(self, s: float) -> float:
         return s / self.rate
 
-    def evaluate_exact(self, ts):
-        ts = self._check_times(ts)
-        with np.errstate(over="ignore"):
-            return self._finite_values(ts, self.rate * ts)
-
-    def inverse_exact(self, ss):
-        with np.errstate(over="ignore"):
-            return _check_nonnegative(ss) / self.rate
+    # ``*`` and ``/`` are correctly rounded, so numpy gives the scalar bits.
+    evaluate_exact = Compensator._evaluate_numpy
+    inverse_exact = Compensator._inverse_numpy
 
 
 @dataclass(frozen=True)
@@ -265,16 +273,9 @@ class PowerCompensator(Compensator):
     # numpy's pow differs from libm's in the last bit (on about 80 of 1e5
     # draws at exponent 2, inverse and evaluate alike), so only the
     # verifiers' ``*_many`` use it; ``*_exact`` map the scalar formulas.
-
-    def evaluate_many(self, ts):
-        ts = self._check_times(ts)
-        with np.errstate(over="ignore"):
-            return self._finite_values(ts, ts**self.exponent)
-
-    def inverse_many(self, ss):
-        # Small exponents overflow to inf; callers that need tau < inf check for it.
-        with np.errstate(over="ignore"):
-            return _check_nonnegative(ss) ** (1.0 / self.exponent)
+    # ``inverse_many`` gives inf where tau overflows, for callers to check.
+    evaluate_many = Compensator._evaluate_numpy
+    inverse_many = Compensator._inverse_numpy
 
 
 @dataclass(frozen=True)
@@ -461,21 +462,17 @@ class TabulatedCompensator(Compensator):
         return _lerp(s, values[j - 1], values[j], times[j - 1], times[j])
 
     @cached_property
-    def _knots(self) -> tuple[np.ndarray, np.ndarray]:
-        """The knot times and values as arrays, built on the first array call."""
-        return np.array(self.times), np.array(self.values)
-
-    @cached_property
-    def _segments(self) -> tuple[_KnotSearch, _KnotSearch]:
-        """Segment searches over the inner knots: times (side right), then values (side left)."""
-        times, values = self._knots
-        return _KnotSearch(times[1:-1], "right"), _KnotSearch(values[1:-1], "left")
+    def _knots(self) -> tuple[np.ndarray, np.ndarray, _KnotSearch, _KnotSearch]:
+        """Knot times and values as arrays, then segment searches over their inner
+        knots (times side right, values side left); built on the first array call."""
+        times, values = np.array(self.times), np.array(self.values)
+        return times, values, _KnotSearch(times[1:-1], "right"), _KnotSearch(values[1:-1], "left")
 
     def evaluate_exact(self, ts):
         ts = self._check_times(ts)
-        times, values = self._knots
+        times, values, time_segment, _ = self._knots
         # i indexes the segment [times[i], times[i + 1]] holding t.
-        i = self._segments[0](ts)
+        i = time_segment(ts)
         t0, v0 = times[i], values[i]
         out = _lerp_many(ts, t0, times[1:][i], v0, values[1:][i])
         hit = np.flatnonzero(ts == t0)
@@ -489,10 +486,10 @@ class TabulatedCompensator(Compensator):
 
     def inverse_exact(self, ss):
         ss = _check_nonnegative(ss)
-        times, values = self._knots
+        times, values, _, value_segment = self._knots
         # j indexes the segment [values[j], values[j + 1]] whose top is the
         # first knot value at or above s.
-        j = self._segments[1](ss)
+        j = value_segment(ss)
         t1, v1 = times[1:][j], values[1:][j]
         out = _lerp_many(ss, values[j], v1, times[j], t1)
         # First knot attaining the level: the exact left edge of any flat.

@@ -123,11 +123,13 @@ class TimePoint:
             raise ValueError("the infinite time has no finite value")
         return self._value
 
-    def _cmp_key(self, other) -> float:
+    def _cmp_key(self, other) -> float | int:
+        """The number to compare with: Python compares an int with a float
+        exactly, and equal numbers hash equal."""
         if isinstance(other, TimePoint):
             return other._value
         if isinstance(other, (int, float)) and other == other:
-            return float(other)
+            return other
         return NotImplemented
 
     def __eq__(self, other):

@@ -77,9 +77,7 @@ MARTINGALE_Z_LIMIT = 4.0
 def exp1_cdf(x, out=None):
     """CDF of the unit exponential, accurate near 0; accepts arrays, and fills
     ``out`` when it is given."""
-    if out is None:
-        return -np.expm1(-np.asarray(x, float))
-    return np.negative(np.expm1(np.negative(x, out=out), out=out), out=out)
+    return np.negative(np.expm1(np.negative(x, out=out, dtype=float), out=out), out=out)
 
 
 #: Draws are pure functions of (seed, n); a model sweep asks for the same two

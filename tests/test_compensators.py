@@ -21,7 +21,7 @@ from jumptime.compensators import (
     _KnotSearch,
     load_tabulated_csv,
 )
-from jumptime.core import INFINITY, TimePoint
+from jumptime.core import INFINITY, TimePoint, draw_exponentials
 
 
 def flat_table() -> TabulatedCompensator:
@@ -189,6 +189,9 @@ class TestLinear:
                 LinearCompensator(1e-320).inverse_many(np.array([math.inf, 1e-30, 1.0, 2.0]))
             with pytest.raises(OverflowError, match=r"level 2\.0 / rate 1e-308"):
                 LinearCompensator(1e-308).inverse_many(np.array([1.0, 2.0]))
+            # A level whose power tau is inf (TestPower): Linear refuses it.
+            with pytest.raises(OverflowError, match=r"level 10000000000\.0 / rate 1e-300"):
+                LinearCompensator(1e-300).inverse_many(np.array([1.0, 1e10]))
 
     def test_infinite_level_still_maps_to_infinity(self):
         for rate in (1e-320, 1.0):
@@ -230,6 +233,23 @@ class TestPower:
         # 2.5 ** 1000 is finite in exact arithmetic; INFINITY would be wrong.
         with pytest.raises(OverflowError, match=r"level 2\.5 .*exponent 0\.001"):
             PowerCompensator(0.001).inverse(2.5)
+
+    @pytest.mark.parametrize("exponent", [0.001, 0.5, 2.0, 3.7])
+    def test_the_verifiers_columns_are_numpys_pow(self, exponent):
+        # Bit for bit on Exp(1) draws and on levels whose tau overflows, where
+        # inverse_many gives inf and raises nothing (Linear's refuses, TestLinear).
+        A = PowerCompensator(exponent)
+        zs = draw_exponentials(9, 5000)
+        levels = np.concatenate([zs, [2.5, 1e10, 1e300]])
+        with np.errstate(over="ignore"):
+            powers, roots = zs**exponent, levels ** (1.0 / exponent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            taus = A.inverse_many(levels)
+            np.testing.assert_array_equal(bits(A.evaluate_many(zs)), bits(powers))
+        np.testing.assert_array_equal(bits(taus), bits(roots))
+        if exponent == 0.001:
+            assert np.isinf(taus[-3:]).all()
 
 
 class TestSaturatingExp:
@@ -479,8 +499,7 @@ class TestKnotSearch:
 
     @given(tabulated_compensators(), st.lists(st.floats(0.0, 200.0), max_size=40))
     def test_a_tables_searches_are_its_inner_knots(self, A, keys):
-        times, values = A._knots
-        by_time, by_level = A._segments
+        times, values, by_time, by_level = A._knots
         probe = np.concatenate([search_keys(times), search_keys(values), keys])
         np.testing.assert_array_equal(by_time(probe), np.searchsorted(times[1:-1], probe, side="right"))
         np.testing.assert_array_equal(by_level(probe), np.searchsorted(values[1:-1], probe, side="left"))

@@ -76,6 +76,21 @@ class TestTimePoint:
                         compare(x, y)
                 assert x != y
 
+    def test_compares_and_hashes_as_the_number_it_holds(self):
+        # An int past the float range is still ordered, not an OverflowError.
+        for t in (TimePoint(1.0), INFINITY):
+            assert t < 10**400 if t.is_finite else t > 10**400
+            assert t > -(10**400) and t != 10**400 and t != -(10**400)
+        # An int a float cannot hold: ==, < and set membership agree.
+        t, n = TimePoint(2.0**53), 2**53 + 1
+        assert t != n and t < n and n > t
+        assert n not in {t} and 2**53 in {t}
+        # numpy numbers still compare, and NaN is still not ordered.
+        assert t == np.int64(2**53) and t < np.int64(n) and t == np.float64(2.0**53)
+        for compare in (operator.lt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(t, np.float64(math.nan))
+
     def test_as_timepoint_passthrough_and_coercion(self):
         t = TimePoint(2.0)
         assert as_timepoint(t) is t
